@@ -12,18 +12,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+INSERT_DEGREE = 2  # edges that join an inserted vertex to the rest
+LETTER_JITTER = 0.3  # standard deviation of the point noise, in canvas units
+LETTER_DROPPED = 1  # strokes removed per distorted letter
+LETTER_SPLIT = 1  # strokes split in two at a new point per distorted letter
+
 
 @dataclass(frozen=True)
 class Perturbation:
     """How many of each edit one noisy copy receives."""
 
-    relabel_vertices: int = 0
-    relabel_edges: int = 0
-    drop_edges: int = 0
-    add_edges: int = 0
-    delete_vertices: int = 0
-    insert_vertices: int = 0
-    insert_degree: int = 2
+    relabel_vertices: int
+    relabel_edges: int
+    drop_edges: int
+    add_edges: int
+    delete_vertices: int
+    insert_vertices: int
 
 
 def random_labeled_graph(rng, order, n_edges, vertex_labels, edge_labels):
@@ -76,7 +80,7 @@ def perturb(rng, graph, spec, vertex_labels, edge_labels):
     for _ in range(spec.insert_vertices):
         v = len(attrs)
         attrs.append(int(rng.integers(1, vertex_labels + 1)))
-        for u in _pick(rng, list(range(v)), spec.insert_degree):
+        for u in _pick(rng, list(range(v)), INSERT_DEGREE):
             edges[(u, v)] = int(rng.integers(1, edge_labels + 1))
     return shuffle(rng, (attrs, edges))
 
@@ -110,26 +114,17 @@ LETTERS = {
 }
 
 
-@dataclass(frozen=True)
-class LetterDistortion:
-    """Per-copy distortion of a letter drawing."""
-
-    jitter: float = 0.3
-    drop_edges: int = 1
-    split_edges: int = 1
-
-
-def distorted_letter(rng, letter, spec):
+def distorted_letter(rng, letter):
     """Letter drawing with jittered points, dropped and split strokes, shuffled."""
     points, strokes = LETTERS[letter]
     attrs = [
-        (x + float(rng.normal(0.0, spec.jitter)), y + float(rng.normal(0.0, spec.jitter)))
+        (x + float(rng.normal(0.0, LETTER_JITTER)), y + float(rng.normal(0.0, LETTER_JITTER)))
         for x, y in points
     ]
     edges = {(min(i, j), max(i, j)): None for i, j in strokes}
-    for e in _pick(rng, sorted(edges), spec.drop_edges):
+    for e in _pick(rng, sorted(edges), LETTER_DROPPED):
         del edges[e]
-    for i, j in _pick(rng, sorted(edges), spec.split_edges):
+    for i, j in _pick(rng, sorted(edges), LETTER_SPLIT):
         del edges[(i, j)]
         t = float(rng.uniform(0.3, 0.7))
         (xi, yi), (xj, yj) = attrs[i], attrs[j]

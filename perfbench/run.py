@@ -7,15 +7,17 @@ this file). The library is imported from ``src/`` next to this directory,
 never from an installed copy.
 
 Set-up (import, input generation, and for ``classify-letter`` writing and
-loading the GXL/CXL files) is timed in fresh child processes, three
+loading the GXL/CXL files) is timed in fresh child processes, nine
 times, and ``setup_s`` is their median. The timed phase then repeats whole
-passes over the workload's fixed problem set while the ``--seconds`` budget
-allows another pass, and at least three. ``wall_s`` is the time of one
-pass, taken as the sum over problems of each problem's median time across
-passes: the host's speed drifts for seconds at a time, and a per-problem
-median discards a drift that covers one pass. Outputs of the first pass are
-checked independently, later passes must reproduce them exactly, and all of
-them go into an output digest.
+passes over the workload's fixed problem set while the ``--seconds`` budget,
+counted from the start of the run, allows another pass, and at least three.
+``wall_s`` is the time of one pass, taken as the sum over problems of each
+problem's median time across passes: the host's speed drifts for seconds at
+a time, and a per-problem median discards a drift that covers one pass.
+``peak_rss_mb`` is the peak resident memory of this process at the end of
+the first pass, so it covers the same work however many passes run.
+Outputs of the first pass are checked independently, later passes must
+reproduce them exactly, and all of them go into an output digest.
 
 With ``--trace 0`` the last line of standard output is a JSON object with
 the end-to-end metrics; with ``--trace 1`` it holds the per-layer metrics
@@ -29,7 +31,6 @@ import time
 _T0 = time.perf_counter()  # set-up time counts from here, before any heavy import
 
 import argparse
-import ctypes
 import json
 import os
 import platform
@@ -46,9 +47,8 @@ BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
 OUT_DIR = BENCH_DIR / "out"
-SETUP_RUNS = 3
+SETUP_RUNS = 9
 MIN_PASSES = 3  # per-problem medians need three samples
-M_MMAP_THRESHOLD = -3  # mallopt parameter, from glibc's malloc.h
 BLAS_ENV = (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS",
@@ -65,28 +65,11 @@ from tracing import Tracer, layer_metrics  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
-def release_large_blocks():
-    """Make glibc hand every large block back to the OS when it is freed.
-
-    By default glibc raises its mmap threshold once a large block is freed
-    and from then on keeps freed arrays in the heap, so which of them stay
-    resident depends on allocation history: the peak RSS of identical work
-    varied by 25%. A fixed threshold makes ``peak_rss_mb`` follow the
-    memory that is live at once, such as the dense IPFP quadratic form.
-    """
-    try:
-        libc = ctypes.CDLL("libc.so.6")
-    except OSError:  # not glibc: leave the allocator alone
-        return
-    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    libc.mallopt(M_MMAP_THRESHOLD, 128 * 1024)
-
-
 def parse_args():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, default=benchmark_spec()["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-only", action="store_true", help=argparse.SUPPRESS)
     return parser.parse_args()
@@ -188,20 +171,23 @@ def machine_facts():
     }
 
 
+def benchmark_spec():
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
 def declared_metrics(kind):
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["unit"] for m in spec[kind]}
+    return {m["name"]: m["unit"] for m in benchmark_spec()[kind]}
 
 
 def timed_phase(args, workload, tracer):
     """Passes over the problem set; a traced run adds one traced pass.
 
-    Returns the first pass's outputs and, for every pass, its wall time,
-    per-problem times and check result. Only the first pass's outputs are
-    kept, so memory does not grow with the number of passes.
+    Returns the first pass's outputs, the peak RSS in MB at the end of the
+    first pass and, for every pass, its wall time, per-problem times and
+    check result. Only the first pass's outputs are kept, so memory does
+    not grow with the number of passes.
     """
     passes, first = [], None
-    start = elapsed = 0.0
     while True:
         if tracer is not None and passes:
             tracer.install()
@@ -210,18 +196,18 @@ def timed_phase(args, workload, tracer):
         finally:
             if tracer is not None:
                 tracer.uninstall()
-        elapsed += wall
-        # checks run between passes, off the clock
-        passes.append((wall, times, check_pass(workload, outputs, errors, verify=not passes)))
         if first is None:
             first = outputs
+            peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        # checks run between passes, off the clock
+        passes.append((wall, times, check_pass(workload, outputs, errors, verify=not passes)))
         del outputs
         if args.trace:
             if len(passes) == 2:
                 break
-        elif len(passes) >= MIN_PASSES and elapsed + wall > args.seconds:
+        elif len(passes) >= MIN_PASSES and time.perf_counter() - _T0 + wall > args.seconds:
             break
-    return first, passes
+    return first, peak_rss_mb, passes
 
 
 def check_passes(passes):
@@ -254,12 +240,11 @@ def main():
         setup_only(args)
         return
 
-    release_large_blocks()
     setup_samples = timed_setups(args)
     tracer = Tracer() if args.trace else None
     workload, workdir = build_workload(args, tracer)
     try:
-        first, passes = timed_phase(args, workload, tracer)
+        first, peak_rss_mb, passes = timed_phase(args, workload, tracer)
     finally:
         shutil.rmtree(workdir)
 
@@ -272,7 +257,7 @@ def main():
     end_to_end = {
         "setup_s": statistics.median(setup_samples),
         "wall_s": sum(map(statistics.median, zip(*(times for _, times, _ in untraced)))),
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mb": peak_rss_mb,
         "cost_total": float(sum(objectives)),
         "accuracy_gm_pct": 0.0 if failures else workload.accuracy(first),
     }

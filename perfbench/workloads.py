@@ -6,9 +6,9 @@ benchmark times :meth:`Workload.solve` over all problems, then checks every
 output with :meth:`Workload.check` and measures solution quality with
 :meth:`Workload.accuracy`, both outside the timed phase.
 
-Sizes are chosen so that one pass over the problem set takes 9-12 s at the
-commit that introduced the benchmark, on a 2-core x86-64 VM, so a 50 s run
-makes four or five passes.
+Sizes are chosen so that one pass over the problem set takes 6-13 s at the
+commit that introduced the benchmark, on a 2-core x86-64 VM, so a 50 s run,
+set-up included, makes three to six passes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 import gmedian
 from check import CheckError, check_cost, check_median, graph_payload
-from gen import LetterDistortion, Perturbation, distorted_letter, perturb, random_labeled_graph
+from gen import Perturbation, distorted_letter, perturb, random_labeled_graph
 from gxl import write_dataset
 
 
@@ -144,7 +144,6 @@ class ClassifyLetter(Workload):
     name = "classify-letter"
     letters = "AEHKT"
     train, test = 3, 24
-    distortion = LetterDistortion(jitter=0.3, drop_edges=1, split_edges=1)
     solver = gmedian.GedSolverConfig(method="mipfp", multistart_count=2)
 
     def __init__(self, seed, workdir):
@@ -156,7 +155,7 @@ class ClassifyLetter(Workload):
             )
         rng = np.random.default_rng(seed)
         entries = [
-            (f"{letter}{k:02d}", letter, distorted_letter(rng, letter, self.distortion))
+            (f"{letter}{k:02d}", letter, distorted_letter(rng, letter))
             for letter in self.letters
             for k in range(self.train + self.test)
         ]
