@@ -1,19 +1,21 @@
 """Edit-cost model and cost evaluation of vertex transformations.
 
-The cost of a transformation is the vertex term plus half the edge term.
-The edge term counts every undirected edge operation twice (once per
-ordered pair), so :func:`transformation_cost` is
-``vertex_cost + edge_cost / 2``.
+The cost of a vertex map is ``vertex term + c_er*removed + c_ei*inserted +
+c_es*mismatched``, counting undirected edges (``c_es`` is zero for
+unattributed edges); :func:`forward_cost` evaluates it from a raw forward
+map. :func:`edge_cost` counts each edge once per ordered pair, so
+:func:`transformation_cost` is ``vertex_cost + edge_cost / 2``.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import LABEL, NO_EDGE_ATTRS, VECTOR, AttributedGraph, Transformation
+from .graphs import LABEL, NO_EDGE_ATTRS, VECTOR, AttributedGraph, Transformation, _kept_edges
 
 __all__ = [
     "CostModelError",
@@ -26,6 +28,7 @@ __all__ = [
     "vertex_subst_cost",
     "vertex_cost",
     "edge_cost",
+    "forward_cost",
     "transformation_cost",
 ]
 
@@ -81,11 +84,13 @@ class CostModel:
                     "vertex substitution cost exceeds removal + insertion"
                 )
         elif isinstance(self.vertex_subst, SquaredEuclidean):
+            # name the line calling CostModel(...) or make_cost_model(...), not the dataclass __init__
+            factory = sys._getframe(2).f_code.co_filename == __file__
             warnings.warn(
                 "squared-distance vertex substitution is unbounded and may exceed "
                 "removal + insertion for distant attributes",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=4 if factory else 3,
             )
         else:
             raise CostModelError("unsupported vertex substitution function")
@@ -160,10 +165,49 @@ def vertex_subst_cost(model: CostModel, a, b) -> float:
     return float(d @ d)
 
 
-def _edge_subst_cost(model: CostModel, x: int, y: int) -> float:
+def _vertex_subst_matrix(model: CostModel, phi: np.ndarray, phi2: np.ndarray) -> np.ndarray:
+    """Substitution costs between every vertex of one graph and every vertex of another."""
+    n, n2 = len(phi), len(phi2)
+    if not (n and n2):
+        return np.zeros((n, n2))
+    if isinstance(model.vertex_subst, LabelDelta):
+        return model.vertex_subst.cost * (phi[:, None] != phi2[None, :])
+    if phi.shape[1] != phi2.shape[1]:
+        raise CostModelError("vector substitution needs two equal-length vectors")
+    diff = phi[:, None, :] - phi2[None, :, :]
+    return (diff * diff).sum(axis=2)
+
+
+def _vertex_term(model: CostModel, f: np.ndarray, phi: np.ndarray, phi2: np.ndarray) -> float:
+    sub = f < len(phi2)
+    targets = f[sub]
+    if isinstance(model.vertex_subst, LabelDelta):
+        subst = model.vertex_subst.cost * np.count_nonzero(phi[sub] != phi2[targets])
+    else:
+        d = phi[sub] - phi2[targets]
+        subst = float((d * d).sum())
+    n_sub = len(targets)
+    return float(subst + model.c_vr * (len(phi) - n_sub) + model.c_vi * (len(phi2) - n_sub))
+
+
+def _edge_term(model: CostModel, f: np.ndarray, g: AttributedGraph, g2: AttributedGraph) -> float:
+    rows, cols = np.nonzero(_kept_edges(g.adjacency, g2.adjacency, f))
+    kept = len(rows) // 2
+    total = model.c_er * (g.n_edges - kept) + model.c_ei * (g2.n_edges - kept)
     if isinstance(model.edge_subst, LabelDelta):
-        return model.edge_subst.cost if x != y else 0.0
-    return 0.0
+        mismatched = np.count_nonzero(g.edge_attrs[rows, cols] != g2.edge_attrs[f[rows], f[cols]]) // 2
+        total += model.edge_subst.cost * mismatched
+    return float(total)
+
+
+def forward_cost(model: CostModel, forward: np.ndarray, g: AttributedGraph, g2: AttributedGraph) -> float:
+    """Cost of the raw forward map ``forward`` from ``g`` to ``g2``.
+
+    The map is not validated and no :class:`Transformation` is built; the
+    model must be compatible with both graphs.
+    """
+    f = np.asarray(forward, dtype=np.int64)
+    return _vertex_term(model, f, g.vertex_attrs, g2.vertex_attrs) + _edge_term(model, f, g, g2)
 
 
 def vertex_cost(model: CostModel, t: Transformation, phi: np.ndarray, phi2: np.ndarray) -> float:
@@ -172,46 +216,21 @@ def vertex_cost(model: CostModel, t: Transformation, phi: np.ndarray, phi2: np.n
     phi2 = np.asarray(phi2)
     if phi.shape[0] != t.source_order or phi2.shape[0] != t.target_order:
         raise CostModelError("attribute arrays do not match transformation orders")
-    sub = t.substituted
-    n_sub = int(sub.sum())
-    targets = t.forward[sub]
     if isinstance(model.vertex_subst, LabelDelta):
         if phi.ndim != 1 or phi2.ndim != 1:
             raise CostModelError("label substitution applied to vector attributes")
-        subst = model.vertex_subst.cost * np.count_nonzero(phi[sub] != phi2[targets])
-    else:
-        if phi.ndim != 2 or phi2.ndim != 2:
-            raise CostModelError("vector substitution applied to label attributes")
-        d = phi[sub] - phi2[targets]
-        subst = float((d * d).sum())
-    removed = t.source_order - n_sub
-    inserted = t.target_order - n_sub
-    return float(subst + model.c_vr * removed + model.c_vi * inserted)
+    elif phi.ndim != 2 or phi2.ndim != 2:
+        raise CostModelError("vector substitution applied to label attributes")
+    return _vertex_term(model, t.forward, phi, phi2)
 
 
 def edge_cost(model: CostModel, t: Transformation, g: AttributedGraph, g2: AttributedGraph) -> float:
     """Total edge operation cost, counting each undirected edge twice."""
     if t.source_order != g.order or t.target_order != g2.order:
         raise CostModelError("transformation orders do not match the graphs")
-    labelled = isinstance(model.edge_subst, LabelDelta)
-    if labelled and (g.edge_attrs is None or g2.edge_attrs is None):
+    if isinstance(model.edge_subst, LabelDelta) and (g.edge_attrs is None or g2.edge_attrs is None):
         raise CostModelError("label substitution applied to unattributed edges")
-    f, r = t.forward, t.reverse
-    n, n2 = g.order, g2.order
-    a, a2 = g.adjacency, g2.adjacency
-    total = 0.0
-    for i, j in g.edge_list:
-        fi, fj = f[i], f[j]
-        if fi < n2 and fj < n2 and a2[fi, fj]:
-            if labelled:
-                total += _edge_subst_cost(model, g.edge_attrs[i, j], g2.edge_attrs[fi, fj])
-        else:
-            total += model.c_er
-    for k, l in g2.edge_list:
-        rk, rl = r[k], r[l]
-        if not (rk < n and rl < n and a[rk, rl]):
-            total += model.c_ei
-    return 2.0 * total
+    return 2.0 * _edge_term(model, t.forward, g, g2)
 
 
 def transformation_cost(

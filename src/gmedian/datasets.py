@@ -217,6 +217,8 @@ def parse_gxl(
                 attrs.append([float(values[name]) for name in hints.node_attrs])
             except KeyError as exc:
                 raise DatasetError(f"node {node_id!r} lacks attr {exc.args[0]!r}") from exc
+            except ValueError as exc:
+                raise DatasetError(f"node {node_id!r} has a non-numeric coordinate") from exc
         else:
             if hints.node_attrs:
                 name = hints.node_attrs[0]
@@ -359,6 +361,13 @@ def write_graph(g: AttributedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _number(parse, text: str, line: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise DatasetError(f"bad number {text!r} in line {line!r}") from exc
+
+
 def read_graph(text: str, graph_id: str = "") -> AttributedGraph:
     """Parse the native line format; inverse of :func:`write_graph`."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -369,10 +378,7 @@ def read_graph(text: str, graph_id: str = "") -> AttributedGraph:
         raise DatasetError("bad header, expected 'gmg 1 <n> <mode> <edge_mode>'")
     if header[1] != "1":
         raise DatasetError(f"unsupported format version {header[1]!r}")
-    try:
-        order = int(header[2])
-    except ValueError as exc:
-        raise DatasetError(f"bad order {header[2]!r}") from exc
+    order = _number(int, header[2], lines[0])
     vmode, emode = header[3], header[4]
     if vmode not in (LABEL, VECTOR) or emode not in (LABEL, NO_EDGE_ATTRS):
         raise DatasetError(f"unknown modes {vmode!r}/{emode!r}")
@@ -383,18 +389,20 @@ def read_graph(text: str, graph_id: str = "") -> AttributedGraph:
         if parts[0] == "v":
             if (vmode == LABEL and len(parts) != 3) or (vmode == VECTOR and len(parts) < 3):
                 raise DatasetError(f"bad vertex line {line!r}")
-            i = int(parts[1])
+            i = _number(int, parts[1], line)
             if not 0 <= i < order:
                 raise DatasetError(f"vertex index {i} out of range")
             if attrs[i] is not None:
                 raise DatasetError(f"duplicate vertex line for {i}")
-            attrs[i] = int(parts[2]) if vmode == LABEL else [float(x) for x in parts[2:]]
+            if vmode == LABEL:
+                attrs[i] = _number(int, parts[2], line)
+            else:
+                attrs[i] = [_number(float, x, line) for x in parts[2:]]
         elif parts[0] == "e":
             expected = 4 if emode == LABEL else 3
             if len(parts) != expected:
                 raise DatasetError(f"bad edge line {line!r}")
-            i, j = int(parts[1]), int(parts[2])
-            edges.append((i, j, int(parts[3])) if emode == LABEL else (i, j))
+            edges.append(tuple(_number(int, x, line) for x in parts[1:]))
         else:
             raise DatasetError(f"unknown line type {parts[0]!r}")
     missing = [i for i, a in enumerate(attrs) if a is None]

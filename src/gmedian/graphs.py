@@ -81,6 +81,8 @@ class AttributedGraph:
             va = va.astype(np.int64)
         elif va.ndim == 2:
             va = va.astype(np.float64)
+            if not np.isfinite(va).all():
+                raise GraphError("vector attributes must be finite")
         else:
             raise GraphError("vertex attributes must have shape (n,) or (n, m)")
         if va.shape[0] != n:
@@ -263,6 +265,19 @@ def identity_transformation(order: int) -> Transformation:
     return transformation_from_forward(np.arange(order), order, order)
 
 
+def _kept_edges(a: np.ndarray, a2: np.ndarray, forward: np.ndarray) -> np.ndarray:
+    """Mask of the edges of ``a`` substituted under ``forward``; the others are removed.
+
+    ``a2`` gets a zero row and column at index ``len(a2)``, the image of a
+    removed vertex. With ``(a2, a, reverse)`` it marks the edges of ``a2``
+    that are not inserted.
+    """
+    n2 = a2.shape[0]
+    a2pad = np.zeros((n2 + 1, n2 + 1), dtype=a2.dtype)
+    a2pad[:n2, :n2] = a2
+    return a & a2pad[forward][:, forward]
+
+
 def classify_edges(
     t: Transformation, g: AttributedGraph, g2: AttributedGraph
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[tuple[int, int]]]:
@@ -276,22 +291,11 @@ def classify_edges(
     """
     if t.source_order != g.order or t.target_order != g2.order:
         raise GraphError("transformation orders do not match the graphs")
-    f, r = t.forward, t.reverse
-    n, n2 = g.order, g2.order
-    a, a2 = g.adjacency, g2.adjacency
-    substituted: list[tuple[int, int]] = []
-    removed: list[tuple[int, int]] = []
-    inserted: list[tuple[int, int]] = []
-    for i, j in g.edge_list:
-        fi, fj = f[i], f[j]
-        if fi < n2 and fj < n2 and a2[fi, fj]:
-            substituted.append((i, j))
-        else:
-            removed.append((i, j))
-    for k, l in g2.edge_list:
-        rk, rl = r[k], r[l]
-        if not (rk < n and rl < n and a[rk, rl]):
-            inserted.append((k, l))
+    kept = _kept_edges(g.adjacency, g2.adjacency, t.forward)
+    kept2 = _kept_edges(g2.adjacency, g.adjacency, t.reverse)
+    substituted = [e for e in g.edge_list if kept[e]]
+    removed = [e for e in g.edge_list if not kept[e]]
+    inserted = [e for e in g2.edge_list if not kept2[e]]
     return substituted, removed, inserted
 
 

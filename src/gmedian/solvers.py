@@ -4,7 +4,7 @@ Four routes compute (or bound) the minimal transformation cost:
 
 * :func:`ged_exact` enumerates every transformation, exact but exponential;
 * :func:`ged_bipartite` solves one linear assignment over vertices enriched
-  with local edge structure, a fast upper bound;
+  with their incident edges, a fast upper bound;
 * :func:`ged_ipfp` refines an initial transformation by iterated linear
   approximation of the quadratic edit cost over the augmented assignment
   polytope;
@@ -25,9 +25,9 @@ from . import lsap
 from .costs import (
     CostModel,
     LabelDelta,
+    _vertex_subst_matrix,
     check_model_compatible,
-    transformation_cost,
-    vertex_subst_cost,
+    forward_cost,
 )
 from .graphs import AttributedGraph, Transformation, transformation_from_forward
 
@@ -80,8 +80,8 @@ class GedResult:
 
 
 def _result(model: CostModel, g: AttributedGraph, g2: AttributedGraph, forward, exact: bool) -> GedResult:
-    t = transformation_from_forward(np.asarray(forward, dtype=np.int64), g.order, g2.order)
-    return GedResult(t, transformation_cost(model, t, g, g2), exact)
+    f = np.asarray(forward, dtype=np.int64)
+    return GedResult(transformation_from_forward(f, g.order, g2.order), forward_cost(model, f, g, g2), exact)
 
 
 def ged_exact(
@@ -178,53 +178,44 @@ def ged_exact(
     return _result(model, g, g2, best_forward, True)
 
 
-def _incident_edge_term(model: CostModel, labels1: list[int], labels2: list[int]) -> float:
-    """Optimal assignment cost between two incident-edge label multisets."""
-    d1, d2 = len(labels1), len(labels2)
-    if not isinstance(model.edge_subst, LabelDelta):
-        return model.c_er * max(0, d1 - d2) + model.c_ei * max(0, d2 - d1)
-    if d1 == 0 and d2 == 0:
-        return 0.0
-    ces = model.edge_subst.cost
-    l1 = np.asarray(labels1, dtype=np.int64).reshape(-1, 1)
-    l2 = np.asarray(labels2, dtype=np.int64).reshape(1, -1)
-    subst = ces * (l1 != l2)
-    problem = lsap.build_assignment_problem(
-        subst, np.full(d1, model.c_er), np.full(d2, model.c_ei)
-    )
-    _, objective = lsap.solve_lsap(problem)
-    return objective
+def _incident_edge_matrix(model: CostModel, g: AttributedGraph, g2: AttributedGraph) -> np.ndarray:
+    """Optimal matching cost between the incident edges of every vertex pair.
+
+    As :class:`CostModel` enforces ``c_es <= c_er + c_ei``, a best matching
+    substitutes ``min(d1, d2)`` edges, pairing equal labels first.
+    """
+    d1 = g.degrees[:, None]
+    d2 = g2.degrees[None, :]
+    cost = model.c_er * np.maximum(d1 - d2, 0) + model.c_ei * np.maximum(d2 - d1, 0)
+    if isinstance(model.edge_subst, LabelDelta):
+        labels = np.union1d(g.edge_attrs[g.adjacency == 1], g2.edge_attrs[g2.adjacency == 1])
+        # h[lab, i]: edges with label labels[lab] incident to vertex i
+        h1 = ((g.edge_attrs == labels[:, None, None]) & (g.adjacency == 1)).sum(axis=2)
+        h2 = ((g2.edge_attrs == labels[:, None, None]) & (g2.adjacency == 1)).sum(axis=2)
+        common = np.minimum(h1[:, :, None], h2[:, None, :]).sum(axis=0)
+        cost = cost + model.edge_subst.cost * (np.minimum(d1, d2) - common)
+    return cost
 
 
 def ged_bipartite(model: CostModel, g: AttributedGraph, g2: AttributedGraph) -> GedResult:
     """Assignment-based upper bound on the edit distance.
 
-    Each substitution cell combines the vertex substitution cost with half
-    the optimal matching cost between the incident-edge label sets of the
-    two vertices; removal and insertion cells charge the vertex constant
-    plus half of the incident edge removals or insertions. One linear
-    assignment over this matrix yields a vertex map, and the reported cost
-    is the true cost of the induced transformation (not the assignment
-    objective).
+    The bipartite cost of Riesen and Bunke (2009): a substitution cell adds
+    to the vertex cost half of ``c_es*(min(d1, d2) - common) +
+    c_er*max(0, d1 - d2) + c_ei*max(0, d2 - d1)``, with ``d1``, ``d2`` the
+    degrees and ``common = sum(min(h1, h2))`` over incident edge label
+    histograms; removal and insertion cells charge the vertex constant plus
+    half of the incident edge removals or insertions. One linear assignment
+    yields a vertex map, and the reported cost is the true cost of the
+    induced transformation (not the assignment objective).
     """
     check_model_compatible(model, g)
     check_model_compatible(model, g2)
     n, n2 = g.order, g2.order
     if n == 0 and n2 == 0:
         return _result(model, g, g2, np.zeros(0, dtype=np.int64), True)
-    labelled = isinstance(model.edge_subst, LabelDelta)
-    if labelled:
-        inc1 = [[int(g.edge_attrs[i, j]) for j in range(n) if g.adjacency[i, j]] for i in range(n)]
-        inc2 = [[int(g2.edge_attrs[k, l]) for l in range(n2) if g2.adjacency[k, l]] for k in range(n2)]
-    else:
-        inc1 = [[0] * int(d) for d in g.degrees]
-        inc2 = [[0] * int(d) for d in g2.degrees]
-    subst = np.zeros((n, n2))
-    for i in range(n):
-        for k in range(n2):
-            subst[i, k] = vertex_subst_cost(
-                model, g.vertex_attrs[i], g2.vertex_attrs[k]
-            ) + 0.5 * _incident_edge_term(model, inc1[i], inc2[k])
+    subst = _vertex_subst_matrix(model, g.vertex_attrs, g2.vertex_attrs)
+    subst = subst + 0.5 * _incident_edge_matrix(model, g, g2)
     removal = model.c_vr + 0.5 * model.c_er * g.degrees
     insertion = model.c_vi + 0.5 * model.c_ei * g2.degrees
     problem = lsap.build_assignment_problem(subst, removal, insertion)
@@ -251,20 +242,11 @@ class _QapForm:
         N = n + n2
         self.N = N
 
-        c = np.zeros((N, N))
-        if n and n2:
-            if isinstance(model.vertex_subst, LabelDelta):
-                c[:n, :n2] = model.vertex_subst.cost * (
-                    g.vertex_attrs[:, None] != g2.vertex_attrs[None, :]
-                )
-            else:
-                diff = g.vertex_attrs[:, None, :] - g2.vertex_attrs[None, :, :]
-                c[:n, :n2] = (diff * diff).sum(axis=2)
-        c[:n, n2:] = lsap.SENTINEL
-        c[np.arange(n), n2 + np.arange(n)] = model.c_vr
-        c[n:, :n2] = lsap.SENTINEL
-        c[n + np.arange(n2), np.arange(n2)] = model.c_vi
-        self.linear = c
+        self.linear = lsap.build_assignment_problem(
+            _vertex_subst_matrix(model, g.vertex_attrs, g2.vertex_attrs),
+            np.full(n, model.c_vr),
+            np.full(n2, model.c_vi),
+        ).cost_matrix
 
         a = g.adjacency.astype(np.float64)
         a2 = g2.adjacency.astype(np.float64)
@@ -310,29 +292,23 @@ class _QapForm:
     def forward_of(self, assignment: np.ndarray) -> np.ndarray:
         return np.minimum(assignment[: self.n], self.n2)
 
-    def discrete_cost(self, forward: np.ndarray) -> float:
-        t = transformation_from_forward(forward, self.n, self.n2)
-        return transformation_cost(self.model, t, self.g, self.g2)
+    def scored(self, forward: np.ndarray) -> tuple[float, tuple[int, ...]]:
+        """(true cost, forward tuple): ``min`` picks the cheapest, ties to the smaller map."""
+        return forward_cost(self.model, forward, self.g, self.g2), tuple(int(v) for v in forward)
 
 
 def _ipfp_refine(
     form: _QapForm, init_forward: np.ndarray, max_iters: int, tol: float
 ) -> tuple[float, tuple[int, ...]]:
     """Run the refinement from one initial map; returns the best discrete point."""
-    best_forward = tuple(int(v) for v in init_forward)
-    best_cost = form.discrete_cost(np.asarray(init_forward, dtype=np.int64))
-    t0 = transformation_from_forward(np.asarray(init_forward, dtype=np.int64), form.n, form.n2)
-    x = form.start_matrix(t0)
+    best = form.scored(init_forward)
+    x = form.start_matrix(transformation_from_forward(init_forward, form.n, form.n2))
     for _ in range(max_iters):
         grad = form.linear + (form.quad @ x.ravel()).reshape(form.N, form.N)
         assignment, _ = lsap.solve_lsap(grad)
         b = np.zeros_like(x)
         b[np.arange(form.N), assignment] = 1.0
-        fwd = form.forward_of(assignment)
-        c = form.discrete_cost(fwd)
-        cand = tuple(int(v) for v in fwd)
-        if c < best_cost or (c == best_cost and cand < best_forward):
-            best_cost, best_forward = c, cand
+        best = min(best, form.scored(form.forward_of(assignment)))
         d = b - x
         gap = float((grad * d).sum())
         if gap >= -tol:
@@ -342,12 +318,7 @@ def _ipfp_refine(
         alpha = 1.0 if curvature <= 0 else min(1.0, -gap / curvature)
         x = x + alpha * d
     assignment, _ = lsap.solve_lsap(-x)
-    fwd = form.forward_of(assignment)
-    c = form.discrete_cost(fwd)
-    cand = tuple(int(v) for v in fwd)
-    if c < best_cost or (c == best_cost and cand < best_forward):
-        best_cost, best_forward = c, cand
-    return best_cost, best_forward
+    return min(best, form.scored(form.forward_of(assignment)))
 
 
 def ged_ipfp(
@@ -372,8 +343,7 @@ def ged_ipfp(
         raise SolverError("initial transformation does not match the graph orders")
     form = _QapForm(model, g, g2)
     cost, forward = _ipfp_refine(form, init.forward, config.ipfp_max_iters, config.ipfp_tol)
-    t = transformation_from_forward(np.asarray(forward, dtype=np.int64), g.order, g2.order)
-    return GedResult(t, cost, False)
+    return GedResult(transformation_from_forward(forward, g.order, g2.order), cost, False)
 
 
 def _random_maximal_forward(rng: np.random.Generator, n: int, n2: int) -> np.ndarray:
@@ -406,13 +376,9 @@ def ged_multistart(
         form = _QapForm(model, g, g2)
         scored = [_ipfp_refine(form, f, config.ipfp_max_iters, config.ipfp_tol) for f in starts]
     else:
-        scored = []
-        for f in starts:
-            t = transformation_from_forward(f, g.order, g2.order)
-            scored.append((transformation_cost(model, t, g, g2), tuple(int(v) for v in f)))
-    cost, forward = min(scored, key=lambda cf: (cf[0], cf[1]))
-    t = transformation_from_forward(np.asarray(forward, dtype=np.int64), g.order, g2.order)
-    return GedResult(t, cost, False)
+        scored = [(forward_cost(model, f, g, g2), tuple(int(v) for v in f)) for f in starts]
+    cost, forward = min(scored)
+    return GedResult(transformation_from_forward(forward, g.order, g2.order), cost, False)
 
 
 def solve_ged(

@@ -94,6 +94,8 @@ def test_data_errors(tmp_path, graph_files, capsys):
     bad = tmp_path / "bad.gmg"
     bad.write_text("gmg 9 1 label label\nv 0 1\n")
     assert main(["ged", a, str(bad)]) == 2
+    bad.write_text("gmg 1 1 label label\nv 0 x\n")
+    assert main(["ged", a, str(bad)]) == 2
     assert main(["median", "--dataset", str(tmp_path / "no_index.cxl")]) == 2
     err = capsys.readouterr().err
     assert "data error" in err

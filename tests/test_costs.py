@@ -16,7 +16,7 @@ from gmedian import (
     transformation_from_forward,
     vertex_cost,
 )
-from gmedian.costs import check_model_compatible, vertex_subst_cost
+from gmedian.costs import check_model_compatible, forward_cost, vertex_subst_cost
 
 from oracles import (
     direct_edge_cost,
@@ -71,8 +71,13 @@ def test_triangle_guard():
 
 
 def test_squared_euclidean_warns():
-    with pytest.warns(RuntimeWarning):
+    # the warning names the line that built the model
+    with pytest.warns(RuntimeWarning) as record:
         make_cost_model(vertex_mode="vector")
+    assert record[0].filename == __file__
+    with pytest.warns(RuntimeWarning) as record:
+        CostModel(1.0, 1.0, 1.0, 1.0, SquaredEuclidean(), ZeroCost())
+    assert record[0].filename == __file__
 
 
 def test_insertion_only_example():
@@ -113,18 +118,18 @@ def test_cost_asymmetry_with_unequal_constants(pair):
 def test_vectorized_costs_match_oracle_labels():
     rng = np.random.default_rng(7)
     model = make_cost_model(c_vs=2.0, c_es=1.5, c_vr=2.5, c_vi=3.0, c_er=2.0, c_ei=3.5)
-    for _ in range(150):
-        n, n2 = int(rng.integers(0, 6)), int(rng.integers(0, 6))
+    orders = [(int(rng.integers(0, 6)), int(rng.integers(0, 6))) for _ in range(150)]
+    for n, n2 in orders + [(0, 0), (0, 4), (4, 0)]:
         g = random_graph(rng, n)
         g2 = random_graph(rng, n2)
         t = transformation_from_forward(random_forward(rng, n, n2), n, n2)
-        assert vertex_cost(model, t, g.vertex_attrs, g2.vertex_attrs) == pytest.approx(
-            direct_vertex_cost(model, t, g.vertex_attrs, g2.vertex_attrs)
+        # label costs are sums of multiples of the constants: exact equality
+        assert vertex_cost(model, t, g.vertex_attrs, g2.vertex_attrs) == direct_vertex_cost(
+            model, t, g.vertex_attrs, g2.vertex_attrs
         )
-        assert edge_cost(model, t, g, g2) == pytest.approx(direct_edge_cost(model, t, g, g2))
-        assert transformation_cost(model, t, g, g2) == pytest.approx(
-            direct_transformation_cost(model, t, g, g2)
-        )
+        assert edge_cost(model, t, g, g2) == direct_edge_cost(model, t, g, g2)
+        assert transformation_cost(model, t, g, g2) == direct_transformation_cost(model, t, g, g2)
+        assert forward_cost(model, t.forward, g, g2) == direct_transformation_cost(model, t, g, g2)
 
 
 def test_vectorized_costs_match_oracle_vectors():

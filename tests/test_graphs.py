@@ -83,6 +83,10 @@ def test_build_graph_rejects_bad_input():
         build_graph(3, [1, 2, 3], [(0, 1, 5), (1, 2)])
     with pytest.raises(GraphError, match="disagree with edge_labels"):
         build_graph(2, [1, 2], [(0, 1)], edge_labels=True)
+    with pytest.raises(GraphError, match="finite"):
+        build_graph(2, [[np.nan, 0.0], [np.inf, 1.0]], [(0, 1)])
+    with pytest.raises(GraphError, match="finite"):
+        build_graph(1, [[-np.inf]])
 
 
 def test_attributed_graph_validation():

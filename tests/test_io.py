@@ -93,6 +93,14 @@ def test_read_graph_errors():
         read_graph("gmg 1 2 label none\nv 0 1\nv 1 1\ne 0 1\ne 1 0\n")
     with pytest.raises(DatasetError, match="unknown line"):
         read_graph("gmg 1 1 label none\nv 0 1\nq 1 2\n")
+    with pytest.raises(DatasetError, match="bad number"):
+        read_graph("gmg 1 1 label none\nv 0 x\n")
+    with pytest.raises(DatasetError, match="bad number"):
+        read_graph("gmg 1 1 vector none\nv 0 1.0 y\n")
+    with pytest.raises(DatasetError, match="bad number"):
+        read_graph("gmg 1 2 label label\nv 0 1\nv 1 1\ne 0 1 z\n")
+    with pytest.raises(DatasetError, match="finite"):
+        read_graph("gmg 1 1 vector none\nv 0 nan 1.0\n")
 
 
 def test_read_graph_empty_order():
@@ -179,6 +187,18 @@ def test_parse_gxl_errors():
     with pytest.raises(DatasetError, match="unsupported attr value"):
         parse_gxl(
             b'<gxl><graph><node id="a"><attr name="l"><blob>x</blob></attr></node></graph></gxl>'
+        )
+    for bad in (b"nan", b"inf", b"-inf"):
+        with pytest.raises(DatasetError, match="finite"):
+            parse_gxl(
+                b'<gxl><graph><node id="a"><attr name="x"><float>' + bad
+                + b"</float></attr></node></graph></gxl>"
+            )
+    with pytest.raises(DatasetError, match="non-numeric"):
+        parse_gxl(
+            b'<gxl><graph><node id="a"><attr name="x"><string>east</string></attr></node>'
+            b"</graph></gxl>",
+            ModeHints(node_kind="vector", node_attrs=["x"], edge_kind="none"),
         )
 
 

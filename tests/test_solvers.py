@@ -6,6 +6,7 @@ import pytest
 from gmedian import (
     GedSolverConfig,
     SolverError,
+    build_assignment_problem,
     build_graph,
     ged_bipartite,
     ged_exact,
@@ -16,9 +17,10 @@ from gmedian import (
     transformation_cost,
     transformation_from_forward,
 )
-from gmedian.solvers import _QapForm, _random_maximal_forward
+from gmedian.solvers import _incident_edge_matrix, _QapForm, _random_maximal_forward
 
 from oracles import (
+    brute_lsap,
     direct_transformation_cost,
     oracle_ged,
     random_forward,
@@ -122,6 +124,31 @@ def test_bipartite_upper_bound(pair):
     assert upper.cost == pytest.approx(
         transformation_cost(model, upper.transformation, g, g2)
     )
+
+
+@pytest.mark.parametrize(
+    "c_es, c_er, c_ei",
+    [(0.0, 2.0, 3.0), (5.0, 2.0, 3.0), (1.5, 1.0, 3.5)],
+    ids=["c_es=0", "c_es=c_er+c_ei", "c_er!=c_ei"],
+)
+def test_bipartite_edge_matrix_matches_brute_force(c_es, c_er, c_ei):
+    """Each closed-form cell equals the optimal assignment of the incident edges."""
+    rng = np.random.default_rng(28)
+    model = make_cost_model(c_es=c_es, c_er=c_er, c_ei=c_ei)
+    for _ in range(12):
+        g = random_graph(rng, int(rng.integers(0, 5)), edge_values=(1, 2, 3))
+        g2 = random_graph(rng, int(rng.integers(0, 5)), edge_values=(1, 2, 3))
+        matrix = _incident_edge_matrix(model, g, g2)
+        assert matrix.shape == (g.order, g2.order)
+        for i in range(g.order):
+            l1 = np.array([g.edge_attrs[i, j] for j in range(g.order) if g.adjacency[i, j]])
+            for k in range(g2.order):
+                l2 = np.array([g2.edge_attrs[k, l] for l in range(g2.order) if g2.adjacency[k, l]])
+                subst = c_es * (l1.reshape(-1, 1) != l2.reshape(1, -1))
+                problem = build_assignment_problem(
+                    subst, np.full(len(l1), c_er), np.full(len(l2), c_ei)
+                )
+                assert matrix[i, k] == brute_lsap(problem.cost_matrix), (i, k)
 
 
 def test_ipfp_never_worse_than_init():
