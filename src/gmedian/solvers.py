@@ -228,9 +228,13 @@ class _QapForm:
     """Quadratic form of the edit cost over the augmented assignment layout.
 
     For an (n + n2) x (n2 + n) permutation matrix X encoding a
-    transformation, ``linear . X + 0.5 x' Q x`` (x = vec(X)) equals the true
-    transformation cost. Q is symmetric, dense, O(N^4) memory with
-    N = n + n2; intended for the small graphs this package targets.
+    transformation, ``(linear * X).sum() + 0.5 * (X * apply(X)).sum()``
+    equals the true transformation cost. :meth:`apply` is the product with
+    the Hessian in matrix form (Bougleux et al., "Graph edit distance as a
+    quadratic assignment problem", 2017), with E, F the adjacency matrices
+    of g, g2 padded to N x N (N = n + n2), E_l, F_l their edges labelled l
+    and J all ones: ``E X (c_er J - (c_er + c_ei - c_es) F) + c_ei (J - I) X F
+    - c_es sum_l E_l X F_l``, in O(N^3) time and O(N^2) memory per term.
     """
 
     def __init__(self, model: CostModel, g: AttributedGraph, g2: AttributedGraph):
@@ -248,53 +252,49 @@ class _QapForm:
             np.full(n2, model.c_vi),
         ).cost_matrix
 
-        a = g.adjacency.astype(np.float64)
-        a2 = g2.adjacency.astype(np.float64)
         cer, cei = model.c_er, model.c_ei
-        q = np.zeros((N, N, N, N))
-        if n and n2:
-            if isinstance(model.edge_subst, LabelDelta):
-                # es[i, k, j, l] = substitution cost between edge (i, j) and (k, l)
-                es = model.edge_subst.cost * (
-                    g.edge_attrs[:, None, :, None] != g2.edge_attrs[None, :, None, :]
-                ).astype(np.float64)
-            else:
-                es = 0.0
-            a_ = a[:, None, :, None]
-            a2_ = a2[None, :, None, :]
-            q[:n, :n2, :n, :n2] = a_ * (a2_ * es + cer * (1.0 - a2_)) + cei * (1.0 - a_) * a2_
-        if n:
-            q[:n, n2:, :n, :] = cer * a[:, None, :, None]
-            q[:n, :n2, :n, n2:] = cer * a[:, None, :, None]
-        if n2:
-            ins = cei * a2[None, :, None, :]
-            q[n:, :n2, :, :n2] = ins
-            q[:n, :n2, n:, :n2] = ins
-        rr = np.arange(N)
-        q[rr, :, rr, :] = 0.0
-        self.quad = q.reshape(N * N, N * N)
+        ces = model.edge_subst.cost if isinstance(model.edge_subst, LabelDelta) else 0.0
+        # only a label on edges of both graphs can be kept unchanged
+        labels = np.intersect1d(g.edge_attrs[g.adjacency == 1], g2.edge_attrs[g2.adjacency == 1]) if ces else []
+        # apply(X) = sum over b of left[b] @ X @ right[b]
+        self.left = np.zeros((2 + len(labels), N, N))
+        self.right = np.zeros_like(self.left)
+        self.left[0, :n, :n] = g.adjacency
+        self.left[1] = cei * (1.0 - np.eye(N))
+        self.right[1, :n2, :n2] = g2.adjacency
+        self.right[0] = cer - (cer + cei - ces) * self.right[1]
+        for b, label in enumerate(labels, 2):
+            self.left[b, :n, :n] = -ces * g.adjacency * (g.edge_attrs == label)
+            self.right[b, :n2, :n2] = g2.adjacency * (g2.edge_attrs == label)
+        self._scores: dict[bytes, tuple[float, tuple[int, ...]]] = {}
 
-    def start_matrix(self, t: Transformation) -> np.ndarray:
-        n, n2, N = self.n, self.n2, self.N
-        x = np.zeros((N, N))
-        for i in range(n):
-            v = t.forward[i]
-            x[i, v if v < n2 else n2 + i] = 1.0
-        slack_rows = [n + k for k in range(n2) if t.reverse[k] < n]
-        slack_cols = [n2 + i for i in range(n) if t.forward[i] < n2]
-        for k in range(n2):
-            if t.reverse[k] >= n:
-                x[n + k, k] = 1.0
-        for r_, c_ in zip(slack_rows, slack_cols):
-            x[r_, c_] = 1.0
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``(Q @ x.ravel()).reshape(N, N)`` for the symmetric (N^2 x N^2) Hessian Q."""
+        return (self.left @ x @ self.right).sum(axis=0)
+
+    def start_matrix(self, forward: np.ndarray) -> np.ndarray:
+        """Permutation matrix of ``forward``: removals and free insertions on the diagonals."""
+        n, n2 = self.n, self.n2
+        x = np.zeros((self.N, self.N))
+        rows = np.arange(n)
+        sub = forward < n2
+        x[rows, np.where(sub, forward, n2 + rows)] = 1.0
+        used = np.bincount(forward, minlength=n2 + 1)[:n2] > 0
+        free = np.flatnonzero(~used)
+        x[n + free, free] = 1.0
+        # slack rows of substituted targets pair, in order, with slack columns of substituted sources
+        x[n + np.flatnonzero(used), n2 + rows[sub]] = 1.0
         return x
 
     def forward_of(self, assignment: np.ndarray) -> np.ndarray:
         return np.minimum(assignment[: self.n], self.n2)
 
     def scored(self, forward: np.ndarray) -> tuple[float, tuple[int, ...]]:
-        """(true cost, forward tuple): ``min`` picks the cheapest, ties to the smaller map."""
-        return forward_cost(self.model, forward, self.g, self.g2), tuple(int(v) for v in forward)
+        """(true cost, forward tuple), cached per map: ``min`` picks the cheapest, ties to the smaller map."""
+        key = forward.tobytes()
+        if key not in self._scores:
+            self._scores[key] = forward_cost(self.model, forward, self.g, self.g2), tuple(forward.tolist())
+        return self._scores[key]
 
 
 def _ipfp_refine(
@@ -302,9 +302,9 @@ def _ipfp_refine(
 ) -> tuple[float, tuple[int, ...]]:
     """Run the refinement from one initial map; returns the best discrete point."""
     best = form.scored(init_forward)
-    x = form.start_matrix(transformation_from_forward(init_forward, form.n, form.n2))
+    x = form.start_matrix(init_forward)
     for _ in range(max_iters):
-        grad = form.linear + (form.quad @ x.ravel()).reshape(form.N, form.N)
+        grad = form.linear + form.apply(x)
         assignment, _ = lsap.solve_lsap(grad)
         b = np.zeros_like(x)
         b[np.arange(form.N), assignment] = 1.0
@@ -313,8 +313,7 @@ def _ipfp_refine(
         gap = float((grad * d).sum())
         if gap >= -tol:
             break
-        dv = d.ravel()
-        curvature = float(dv @ (form.quad @ dv))
+        curvature = float((d * form.apply(d)).sum())
         alpha = 1.0 if curvature <= 0 else min(1.0, -gap / curvature)
         x = x + alpha * d
     assignment, _ = lsap.solve_lsap(-x)

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from gmedian.costs import CostModel
+from gmedian.costs import CostModel, LabelDelta
 from gmedian.graphs import (
     LABEL,
     VECTOR,
@@ -110,6 +110,58 @@ def oracle_ged(
         if best is None or cost < best - 1e-12 or (abs(cost - best) <= 1e-12 and key < best_forward):
             best, best_forward = cost, key
     return float(best), best_forward
+
+
+def dense_quad(model: CostModel, g: AttributedGraph, g2: AttributedGraph) -> np.ndarray:
+    """The (N^2 x N^2) Hessian of the edit cost over the augmented layout, N = n + n2.
+
+    Entry ``[i*N + k, j*N + l]`` prices assigning row i to column k together
+    with row j to column l, written cell block by cell block as a dense array.
+    """
+    n, n2 = g.order, g2.order
+    N = n + n2
+    a = g.adjacency.astype(np.float64)
+    a2 = g2.adjacency.astype(np.float64)
+    cer, cei = model.c_er, model.c_ei
+    q = np.zeros((N, N, N, N))
+    if n and n2:
+        if isinstance(model.edge_subst, LabelDelta):
+            # es[i, k, j, l] = substitution cost between edge (i, j) and (k, l)
+            es = model.edge_subst.cost * (
+                g.edge_attrs[:, None, :, None] != g2.edge_attrs[None, :, None, :]
+            ).astype(np.float64)
+        else:
+            es = 0.0
+        a_ = a[:, None, :, None]
+        a2_ = a2[None, :, None, :]
+        q[:n, :n2, :n, :n2] = a_ * (a2_ * es + cer * (1.0 - a2_)) + cei * (1.0 - a_) * a2_
+    if n:
+        q[:n, n2:, :n, :] = cer * a[:, None, :, None]
+        q[:n, :n2, :n, n2:] = cer * a[:, None, :, None]
+    if n2:
+        ins = cei * a2[None, :, None, :]
+        q[n:, :n2, :, :n2] = ins
+        q[:n, :n2, n:, :n2] = ins
+    rr = np.arange(N)
+    q[rr, :, rr, :] = 0.0
+    return q.reshape(N * N, N * N)
+
+
+def start_matrix(t: Transformation) -> np.ndarray:
+    """Permutation matrix of ``t`` over the augmented layout, by loops."""
+    n, n2 = t.source_order, t.target_order
+    x = np.zeros((n + n2, n + n2))
+    for i in range(n):
+        v = int(t.forward[i])
+        x[i, v if v < n2 else n2 + i] = 1.0
+    for k in range(n2):
+        if t.reverse[k] >= n:
+            x[n + k, k] = 1.0
+    slack_rows = [n + k for k in range(n2) if t.reverse[k] < n]
+    slack_cols = [n2 + i for i in range(n) if t.forward[i] < n2]
+    for r, c in zip(slack_rows, slack_cols):
+        x[r, c] = 1.0
+    return x
 
 
 def brute_lsap(cost: np.ndarray) -> float:

@@ -1,5 +1,7 @@
 """Edit-distance solvers: exact enumeration, assignment bound, refinement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,12 @@ from gmedian.solvers import _incident_edge_matrix, _QapForm, _random_maximal_for
 
 from oracles import (
     brute_lsap,
+    dense_quad,
     direct_transformation_cost,
     oracle_ged,
     random_forward,
     random_graph,
+    start_matrix,
 )
 
 
@@ -85,17 +89,18 @@ def test_quadratic_form_matches_direct_cost():
         g = random_graph(rng, n)
         g2 = random_graph(rng, n2)
         form = _QapForm(model, g, g2)
-        assert np.array_equal(form.quad, form.quad.T)
         for _ in range(4):
             forward = np.asarray(random_forward(rng, n, n2), dtype=np.int64)
             t = transformation_from_forward(forward, n, n2)
-            x = form.start_matrix(t)
+            x = form.start_matrix(forward)
+            assert np.array_equal(x, start_matrix(t)), forward
             assert x.sum(axis=0).tolist() == [1.0] * form.N
             assert x.sum(axis=1).tolist() == [1.0] * form.N
-            xv = x.ravel()
-            relaxed = float((form.linear * x).sum() + 0.5 * xv @ (form.quad @ xv))
+            relaxed = float((form.linear * x).sum() + 0.5 * (x * form.apply(x)).sum())
             direct = direct_transformation_cost(model, t, g, g2)
             assert relaxed == pytest.approx(direct), forward
+            # scored maps are cached per pair; each map keeps its own cost
+            assert form.scored(forward) == (pytest.approx(direct), tuple(forward.tolist()))
 
 
 def test_quadratic_form_unlabeled_edges():
@@ -108,10 +113,45 @@ def test_quadratic_form_unlabeled_edges():
         form = _QapForm(model, g, g2)
         forward = np.asarray(random_forward(rng, n, n2), dtype=np.int64)
         t = transformation_from_forward(forward, n, n2)
-        x = form.start_matrix(t)
-        xv = x.ravel()
-        relaxed = float((form.linear * x).sum() + 0.5 * xv @ (form.quad @ xv))
+        x = form.start_matrix(forward)
+        relaxed = float((form.linear * x).sum() + 0.5 * (x * form.apply(x)).sum())
         assert relaxed == pytest.approx(direct_transformation_cost(model, t, g, g2))
+
+
+@pytest.mark.parametrize("edge_mode", ["label", "none"])
+def test_quadratic_form_product_matches_dense_oracle(edge_mode):
+    rng = np.random.default_rng(26)
+    if edge_mode == "label":
+        model = make_cost_model(c_vs=2.0, c_es=1.5, c_vr=2.5, c_vi=3.0, c_er=2.0, c_ei=3.5)
+    else:
+        model = make_cost_model(edge_mode="none", c_er=2.0, c_ei=1.0)
+    for _ in range(60):
+        n, n2 = int(rng.integers(0, 7)), int(rng.integers(0, 7))
+        g = random_graph(rng, n, edge_mode=edge_mode, edge_values=(1, 2, 3))
+        g2 = random_graph(rng, n2, edge_mode=edge_mode, edge_values=(1, 2, 3))
+        form = _QapForm(model, g, g2)
+        q = dense_quad(model, g, g2)
+        assert np.array_equal(q, q.T)
+        x = rng.uniform(-1.0, 2.0, size=(form.N, form.N))
+        expected = (q @ x.ravel()).reshape(form.N, form.N)
+        np.testing.assert_allclose(form.apply(x), expected, rtol=0, atol=1e-9)
+
+
+def test_mipfp_order_50_runs_in_bounded_memory():
+    rng = np.random.default_rng(27)
+    g = random_graph(rng, 50, p_edge=0.1)
+    g2 = random_graph(rng, 50, p_edge=0.1)
+    model = make_cost_model()
+    tracemalloc.start()
+    try:
+        result = solve_ged(model, g, g2, GedSolverConfig(method="mipfp", multistart_count=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the dense (N^2 x N^2) form alone would take 800 MB at N = 100
+    assert peak < 50 * 2**20
+    assert result.cost <= ged_bipartite(model, g, g2).cost
+    assert result.cost == pytest.approx(direct_transformation_cost(model, result.transformation, g, g2))
 
 
 def test_bipartite_upper_bound(pair):
