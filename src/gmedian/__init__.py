@@ -56,7 +56,7 @@ from .harness import (
     run_classification,
     run_sod_experiment,
 )
-from .lsap import AssignmentProblem, LsapError, build_assignment_problem, solve_lsap
+from .lsap import LsapError, build_assignment_problem, solve_lsap
 from .median import (
     DescentConfig,
     MedianResult,
@@ -80,7 +80,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttributedGraph",
-    "AssignmentProblem",
     "ClassificationReport",
     "CostModel",
     "CostModelError",

@@ -9,12 +9,10 @@ selects a sentinel cell; that is checked after every solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-__all__ = ["SENTINEL", "LsapError", "AssignmentProblem", "build_assignment_problem", "solve_lsap"]
+__all__ = ["SENTINEL", "LsapError", "build_assignment_problem", "solve_lsap"]
 
 SENTINEL = 1e15
 
@@ -23,19 +21,10 @@ class LsapError(ValueError):
     """Malformed assignment problem or infeasible solve."""
 
 
-@dataclass
-class AssignmentProblem:
-    """Square cost matrix in the augmented layout, with block sizes."""
-
-    cost_matrix: np.ndarray
-    n: int
-    n2: int
-
-
 def build_assignment_problem(
     subst: np.ndarray, removal: np.ndarray, insertion: np.ndarray
-) -> AssignmentProblem:
-    """Assemble the augmented matrix from per-block costs.
+) -> np.ndarray:
+    """Assemble the square augmented matrix from per-block costs.
 
     ``subst`` is (n, n2); ``removal`` and ``insertion`` hold the diagonal
     entries of their blocks.
@@ -54,32 +43,26 @@ def build_assignment_problem(
     c[np.arange(n), n2 + np.arange(n)] = removal
     c[n:, :n2] = SENTINEL
     c[n + np.arange(n2), np.arange(n2)] = insertion
-    return AssignmentProblem(c, n, n2)
+    return c
 
 
-def _solve_square(cost: np.ndarray) -> tuple[np.ndarray, float]:
-    cost = np.asarray(cost, dtype=np.float64)
+def solve_lsap(problem: np.ndarray) -> tuple[np.ndarray, float]:
+    """Minimum-cost perfect matching: row i is assigned column assignment[i].
+
+    ``problem`` is a square cost matrix, such as the one
+    :func:`build_assignment_problem` returns. The objective is the sum of
+    the selected entries.
+    """
+    cost = np.asarray(problem, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise LsapError("cost matrix must be square")
     if not np.isfinite(cost).all():
         raise LsapError("cost matrix contains non-finite entries")
     if cost.shape[0] == 0:
         return np.zeros(0, dtype=np.int64), 0.0
+    # for square input the rows come back as arange(n), so cols is the assignment
     rows, cols = linear_sum_assignment(cost)
-    assignment = np.empty(cost.shape[0], dtype=np.int64)
-    assignment[rows] = cols
     selected = cost[rows, cols]
     if np.any(selected >= SENTINEL):
         raise LsapError("no feasible assignment avoids sentinel cells")
-    return assignment, float(selected.sum())
-
-
-def solve_lsap(problem: AssignmentProblem | np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimum-cost perfect matching: row i is assigned column assignment[i].
-
-    Accepts an :class:`AssignmentProblem` or any square cost matrix. The
-    objective is the sum of the selected entries.
-    """
-    if isinstance(problem, AssignmentProblem):
-        return _solve_square(problem.cost_matrix)
-    return _solve_square(problem)
+    return cols, float(selected.sum())

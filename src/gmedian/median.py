@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .costs import CostModel, LabelDelta, check_model_compatible, transformation_cost
+from .costs import CostModel, LabelDelta, check_model_compatible, forward_cost
 from .graphs import (
     LABEL,
     AttributedGraph,
@@ -341,7 +341,7 @@ def update_transformations(
 
     def refresh(p: int) -> tuple[Transformation, float, bool]:
         old = transformations[p]
-        old_cost = transformation_cost(model, old, median, collection[p])
+        old_cost = forward_cost(model, old.forward, median, collection[p])
         cand = solve_ged(
             model, median, collection[p], _seeded(config, config.rng_seed, iteration, p)
         )
@@ -387,9 +387,7 @@ def compute_median(
         source.vertex_attrs, source.adjacency, source.edge_attrs, "median"
     )
     transformations = sm.transformations
-    sod_upper = sum(
-        transformation_cost(model, t, median, gp) for t, gp in zip(transformations, collection)
-    )
+    sod_upper = sum(forward_cost(model, t.forward, median, gp) for t, gp in zip(transformations, collection))
     trace = [IterationRecord(0, float(sod_upper), 0, 0.0)]
     log.info("iteration=0 sod_upper=%.12g changed=0", sod_upper)
 

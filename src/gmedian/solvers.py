@@ -1,15 +1,19 @@
 """Edit-distance solvers between two attributed graphs.
 
-Four routes compute (or bound) the minimal transformation cost:
+:func:`ged_exact` enumerates every transformation, exact but exponential.
+Every other method runs one pipeline per pair of graphs:
 
-* :func:`ged_exact` enumerates every transformation, exact but exponential;
-* :func:`ged_bipartite` solves one linear assignment over vertices enriched
-  with their incident edges, a fast upper bound;
-* :func:`ged_ipfp` refines an initial transformation by iterated linear
-  approximation of the quadratic edit cost over the augmented assignment
-  polytope;
-* :func:`ged_multistart` restarts a base method from random initial maps
-  plus the bipartite solution and keeps the best.
+1. build the quadratic form of the edit cost over the augmented assignment
+   layout (:class:`_QapForm`) once; its edge terms are built only if IPFP
+   runs;
+2. take the bipartite start, one linear assignment over vertices enriched
+   with their incident edges (:func:`ged_bipartite`);
+3. for ``mbipartite`` and ``mipfp``, add ``multistart_count`` seeded random
+   maximal maps (:func:`ged_multistart`);
+4. for ``ipfp`` and ``mipfp``, refine every start by iterated linear
+   approximation of the quadratic cost (:func:`ged_ipfp`), else score it;
+5. keep the cheapest map, ties to the lexicographically smaller one, and
+   build its :class:`Transformation`.
 
 Every result carries a concrete transformation whose true cost is the
 reported value, so heuristic outputs are always valid upper bounds.
@@ -17,7 +21,8 @@ reported value, so heuristic outputs are always valid upper bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,11 +82,6 @@ class GedResult:
     transformation: Transformation
     cost: float
     is_exact: bool
-
-
-def _result(model: CostModel, g: AttributedGraph, g2: AttributedGraph, forward, exact: bool) -> GedResult:
-    f = np.asarray(forward, dtype=np.int64)
-    return GedResult(transformation_from_forward(f, g.order, g2.order), forward_cost(model, f, g, g2), exact)
 
 
 def ged_exact(
@@ -175,7 +175,8 @@ def ged_exact(
 
     scan(0)
     assert best_forward is not None
-    return _result(model, g, g2, best_forward, True)
+    f = np.asarray(best_forward, dtype=np.int64)
+    return GedResult(transformation_from_forward(f, n, n2), forward_cost(model, f, g, g2), True)
 
 
 def _incident_edge_matrix(model: CostModel, g: AttributedGraph, g2: AttributedGraph) -> np.ndarray:
@@ -209,19 +210,7 @@ def ged_bipartite(model: CostModel, g: AttributedGraph, g2: AttributedGraph) -> 
     yields a vertex map, and the reported cost is the true cost of the
     induced transformation (not the assignment objective).
     """
-    check_model_compatible(model, g)
-    check_model_compatible(model, g2)
-    n, n2 = g.order, g2.order
-    if n == 0 and n2 == 0:
-        return _result(model, g, g2, np.zeros(0, dtype=np.int64), True)
-    subst = _vertex_subst_matrix(model, g.vertex_attrs, g2.vertex_attrs)
-    subst = subst + 0.5 * _incident_edge_matrix(model, g, g2)
-    removal = model.c_vr + 0.5 * model.c_er * g.degrees
-    insertion = model.c_vi + 0.5 * model.c_ei * g2.degrees
-    problem = lsap.build_assignment_problem(subst, removal, insertion)
-    assignment, _ = lsap.solve_lsap(problem)
-    forward = np.minimum(assignment[:n], n2)
-    return _result(model, g, g2, forward, False)
+    return _solve(model, g, g2, GedSolverConfig(method="bipartite"), 0)
 
 
 class _QapForm:
@@ -250,27 +239,32 @@ class _QapForm:
             _vertex_subst_matrix(model, g.vertex_attrs, g2.vertex_attrs),
             np.full(n, model.c_vr),
             np.full(n2, model.c_vi),
-        ).cost_matrix
+        )
+        self._scores: dict[bytes, tuple[float, tuple[int, ...]]] = {}
 
-        cer, cei = model.c_er, model.c_ei
-        ces = model.edge_subst.cost if isinstance(model.edge_subst, LabelDelta) else 0.0
+    @cached_property
+    def _stacks(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(left, right)`` with ``apply(X) = sum over b of left[b] @ X @ right[b]``; built on first use."""
+        g, g2, n, n2, N = self.g, self.g2, self.n, self.n2, self.N
+        cer, cei = self.model.c_er, self.model.c_ei
+        ces = self.model.edge_subst.cost if isinstance(self.model.edge_subst, LabelDelta) else 0.0
         # only a label on edges of both graphs can be kept unchanged
         labels = np.intersect1d(g.edge_attrs[g.adjacency == 1], g2.edge_attrs[g2.adjacency == 1]) if ces else []
-        # apply(X) = sum over b of left[b] @ X @ right[b]
-        self.left = np.zeros((2 + len(labels), N, N))
-        self.right = np.zeros_like(self.left)
-        self.left[0, :n, :n] = g.adjacency
-        self.left[1] = cei * (1.0 - np.eye(N))
-        self.right[1, :n2, :n2] = g2.adjacency
-        self.right[0] = cer - (cer + cei - ces) * self.right[1]
+        left = np.zeros((2 + len(labels), N, N))
+        right = np.zeros_like(left)
+        left[0, :n, :n] = g.adjacency
+        left[1] = cei * (1.0 - np.eye(N))
+        right[1, :n2, :n2] = g2.adjacency
+        right[0] = cer - (cer + cei - ces) * right[1]
         for b, label in enumerate(labels, 2):
-            self.left[b, :n, :n] = -ces * g.adjacency * (g.edge_attrs == label)
-            self.right[b, :n2, :n2] = g2.adjacency * (g2.edge_attrs == label)
-        self._scores: dict[bytes, tuple[float, tuple[int, ...]]] = {}
+            left[b, :n, :n] = -ces * g.adjacency * (g.edge_attrs == label)
+            right[b, :n2, :n2] = g2.adjacency * (g2.edge_attrs == label)
+        return left, right
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``(Q @ x.ravel()).reshape(N, N)`` for the symmetric (N^2 x N^2) Hessian Q."""
-        return (self.left @ x @ self.right).sum(axis=0)
+        left, right = self._stacks
+        return (left @ x @ right).sum(axis=0)
 
     def start_matrix(self, forward: np.ndarray) -> np.ndarray:
         """Permutation matrix of ``forward``: removals and free insertions on the diagonals."""
@@ -353,6 +347,39 @@ def _random_maximal_forward(rng: np.random.Generator, n: int, n2: int) -> np.nda
     return forward
 
 
+def _bipartite_forward(form: _QapForm) -> np.ndarray:
+    """Map of the bipartite bound: ``form.linear`` plus half the incident edge costs."""
+    model, g, g2, n, n2 = form.model, form.g, form.g2, form.n, form.n2
+    cost = form.linear.copy()
+    cost[:n, :n2] += 0.5 * _incident_edge_matrix(model, g, g2)
+    cost[np.arange(n), n2 + np.arange(n)] += 0.5 * model.c_er * g.degrees
+    cost[n + np.arange(n2), np.arange(n2)] += 0.5 * model.c_ei * g2.degrees
+    assignment, _ = lsap.solve_lsap(cost)
+    return form.forward_of(assignment)
+
+
+def _solve(
+    model: CostModel, g: AttributedGraph, g2: AttributedGraph, config: GedSolverConfig, random_starts: int
+) -> GedResult:
+    """The pipeline of the module docstring; ipfp-family methods refine the starts."""
+    check_model_compatible(model, g)
+    check_model_compatible(model, g2)
+    n, n2 = g.order, g2.order
+    form = _QapForm(model, g, g2)
+    starts = [_bipartite_forward(form)]
+    if random_starts:
+        rng = np.random.default_rng(config.rng_seed)
+        starts += [_random_maximal_forward(rng, n, n2) for _ in range(random_starts)]
+    refine = config.method in ("ipfp", "mipfp")
+    if refine:
+        cost, forward = min(_ipfp_refine(form, f, config.ipfp_max_iters, config.ipfp_tol) for f in starts)
+    else:
+        cost, forward = min(form.scored(f) for f in starts)
+    # the plain bipartite bound between two empty graphs is their one map
+    exact = n + n2 == 0 and not refine and not random_starts
+    return GedResult(transformation_from_forward(forward, n, n2), cost, exact)
+
+
 def ged_multistart(
     model: CostModel, g: AttributedGraph, g2: AttributedGraph, config: GedSolverConfig
 ) -> GedResult:
@@ -360,24 +387,12 @@ def ged_multistart(
 
     ``multistart_count`` random maximal injective maps are drawn from the
     seeded generator and the bipartite map joins the candidate pool. With an
-    ipfp-family method every candidate is refined; with a bipartite-family
-    method candidates are kept as they are. Candidates are ranked by true
-    cost, ties by lexicographic forward map, so the outcome is deterministic
-    for a given seed and independent of evaluation order.
+    ipfp-family method every candidate is refined; with any other method
+    candidates are kept as they are. Candidates are ranked by true cost,
+    ties by lexicographic forward map, so the outcome is deterministic for a
+    given seed and independent of evaluation order.
     """
-    check_model_compatible(model, g)
-    check_model_compatible(model, g2)
-    refine = config.method in ("ipfp", "mipfp")
-    rng = np.random.default_rng(config.rng_seed)
-    starts = [ged_bipartite(model, g, g2).transformation.forward]
-    starts += [_random_maximal_forward(rng, g.order, g2.order) for _ in range(config.multistart_count)]
-    if refine:
-        form = _QapForm(model, g, g2)
-        scored = [_ipfp_refine(form, f, config.ipfp_max_iters, config.ipfp_tol) for f in starts]
-    else:
-        scored = [(forward_cost(model, f, g, g2), tuple(int(v) for v in f)) for f in starts]
-    cost, forward = min(scored)
-    return GedResult(transformation_from_forward(forward, g.order, g2.order), cost, False)
+    return _solve(model, g, g2, config, config.multistart_count)
 
 
 def solve_ged(
@@ -390,11 +405,5 @@ def solve_ged(
     """
     if config.method == "exact":
         return ged_exact(model, g, g2, config.exact_order_cap)
-    if config.method == "bipartite":
-        return ged_bipartite(model, g, g2)
-    if config.method == "ipfp":
-        init = ged_bipartite(model, g, g2).transformation
-        return ged_ipfp(model, g, g2, init, config)
-    if config.method in ("mbipartite", "mipfp"):
-        return ged_multistart(model, g, g2, config)
-    raise SolverError(f"unknown method {config.method!r}")
+    multistart = config.method in ("mbipartite", "mipfp")
+    return _solve(model, g, g2, config, config.multistart_count if multistart else 0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gmedian import AssignmentProblem, LsapError, build_assignment_problem, solve_lsap
+from gmedian import LsapError, build_assignment_problem, solve_lsap
 from gmedian.lsap import SENTINEL
 
 from oracles import brute_lsap
@@ -49,10 +49,7 @@ def test_augmented_layout():
     subst = np.array([[1.0, 2.0], [3.0, 4.0]])
     removal = np.array([5.0, 6.0])
     insertion = np.array([7.0, 8.0])
-    problem = build_assignment_problem(subst, removal, insertion)
-    assert isinstance(problem, AssignmentProblem)
-    assert problem.n == 2 and problem.n2 == 2
-    c = problem.cost_matrix
+    c = build_assignment_problem(subst, removal, insertion)
     assert c.shape == (4, 4)
     assert np.array_equal(c[:2, :2], subst)
     assert c[0, 2] == 5.0 and c[1, 3] == 6.0
@@ -66,16 +63,16 @@ def test_augmented_solution_never_picks_sentinel():
     rng = np.random.default_rng(9)
     for _ in range(40):
         n, n2 = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        problem = build_assignment_problem(
+        c = build_assignment_problem(
             rng.uniform(0, 4, size=(n, n2)),
             rng.uniform(0, 4, size=n),
             rng.uniform(0, 4, size=n2),
         )
-        assignment, objective = solve_lsap(problem)
+        assignment, objective = solve_lsap(c)
         assert assignment.shape == (n + n2,)
         assert objective < SENTINEL / 2
         for i in range(n + n2):
-            assert problem.cost_matrix[i, assignment[i]] < SENTINEL
+            assert c[i, assignment[i]] < SENTINEL
 
 
 def test_all_sentinel_matrix_rejected():
@@ -84,7 +81,7 @@ def test_all_sentinel_matrix_rejected():
 
 
 def test_rectangular_subst_shapes():
-    problem = build_assignment_problem(np.zeros((1, 3)), np.array([2.0]), np.array([1.0, 1.0, 1.0]))
-    assert problem.cost_matrix.shape == (4, 4)
+    c = build_assignment_problem(np.zeros((1, 3)), np.array([2.0]), np.array([1.0, 1.0, 1.0]))
+    assert c.shape == (4, 4)
     with pytest.raises(LsapError):
         build_assignment_problem(np.zeros((2, 2)), np.array([1.0]), np.array([1.0, 1.0]))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gmedian import (
+    METHODS,
     GedSolverConfig,
     SolverError,
     build_assignment_problem,
@@ -19,6 +20,7 @@ from gmedian import (
     transformation_cost,
     transformation_from_forward,
 )
+from gmedian import solvers
 from gmedian.solvers import _incident_edge_matrix, _QapForm, _random_maximal_forward
 
 from oracles import (
@@ -185,10 +187,8 @@ def test_bipartite_edge_matrix_matches_brute_force(c_es, c_er, c_ei):
             for k in range(g2.order):
                 l2 = np.array([g2.edge_attrs[k, l] for l in range(g2.order) if g2.adjacency[k, l]])
                 subst = c_es * (l1.reshape(-1, 1) != l2.reshape(1, -1))
-                problem = build_assignment_problem(
-                    subst, np.full(len(l1), c_er), np.full(len(l2), c_ei)
-                )
-                assert matrix[i, k] == brute_lsap(problem.cost_matrix), (i, k)
+                c = build_assignment_problem(subst, np.full(len(l1), c_er), np.full(len(l2), c_ei))
+                assert matrix[i, k] == brute_lsap(c), (i, k)
 
 
 def test_ipfp_never_worse_than_init():
@@ -272,6 +272,97 @@ def test_empty_graph_pairs():
         assert r.cost == pytest.approx(2 * 3.0 + 3.0)
         r = solve_ged(model, empty, empty, GedSolverConfig(method=method, multistart_count=2))
         assert r.cost == 0.0
+
+
+# (cost, forward, is_exact) per pair, recorded from the per-method solvers that preceded the shared pipeline
+PINNED = {
+    ("label", "exact"): [(12.5, (4, 5, 1, 0, 3, 2), True), (25.5, (0, 2, 3, 5, 4), True), (27.0, (2, 3, 0), True)],
+    ("label", "bipartite"): [(19.5, (4, 0, 5, 3, 2, 1), False), (33.0, (3, 1, 2, 4, 5), False), (31.0, (1, 3, 0), False)],
+    ("label", "ipfp"): [(13.5, (2, 0, 5, 3, 4, 1), False), (27.0, (3, 2, 0, 4, 5), False), (28.0, (1, 3, 2), False)],
+    ("label", "mbipartite"): [(18.5, (2, 4, 3, 1, 5, 0), False), (33.0, (3, 1, 2, 4, 5), False), (27.0, (2, 3, 0), False)],
+    ("label", "mipfp"): [(12.5, (4, 5, 1, 0, 3, 2), False), (25.5, (0, 2, 3, 5, 4), False), (27.0, (2, 3, 0), False)],
+    ("vector", "exact"): [(23.24634, (2, 5, 1, 0, 4), True), (19.464163, (4, 2, 4, 3, 1, 0), True)],
+    ("vector", "bipartite"): [(34.456042, (1, 2, 3, 0, 4), False), (24.769405, (4, 0, 4, 3, 1, 2), False)],
+    ("vector", "ipfp"): [(24.520598, (1, 5, 0, 2, 4), False), (19.464163, (4, 2, 4, 3, 1, 0), False)],
+    ("vector", "mbipartite"): [(32.300757, (0, 3, 1, 5, 2), False), (24.769405, (4, 0, 4, 3, 1, 2), False)],
+    ("vector", "mipfp"): [(23.429388000000003, (4, 5, 1, 0, 2), False), (19.464163, (4, 2, 4, 3, 1, 0), False)],
+    ("empty", "exact"): [(15.0, (), True), (15.0, (0, 0, 0), True), (0.0, (), True)],
+    ("empty", "bipartite"): [(15.0, (), False), (15.0, (0, 0, 0), False), (0.0, (), True)],
+    ("empty", "ipfp"): [(15.0, (), False), (15.0, (0, 0, 0), False), (0.0, (), False)],
+    ("empty", "mbipartite"): [(15.0, (), False), (15.0, (0, 0, 0), False), (0.0, (), False)],
+    ("empty", "mipfp"): [(15.0, (), False), (15.0, (0, 0, 0), False), (0.0, (), False)],
+}
+
+
+def _pinned_pairs(setting):
+    if setting == "label":
+        model = make_cost_model(c_vs=2.0, c_es=1.5, c_vr=2.5, c_vi=3.0, c_er=1.0, c_ei=3.5)
+        rng = np.random.default_rng(35)
+        sizes = ((6, 5), (5, 6), (3, 6))
+        return model, [
+            (random_graph(rng, n, edge_values=(1, 2, 3)), random_graph(rng, n2, edge_values=(1, 2, 3)))
+            for n, n2 in sizes
+        ]
+    if setting == "vector":
+        with pytest.warns(RuntimeWarning):
+            model = make_cost_model(vertex_mode="vector", edge_mode="none")
+        rng = np.random.default_rng(33)
+        sizes = ((5, 6), (6, 4))
+        return model, [
+            (
+                random_graph(rng, n, vertex_mode="vector", edge_mode="none"),
+                random_graph(rng, n2, vertex_mode="vector", edge_mode="none"),
+            )
+            for n, n2 in sizes
+        ]
+    empty = build_graph(0, [], edge_labels=True)
+    g = build_graph(3, [1, 2, 2], [(0, 1, 1), (1, 2, 2)])
+    return make_cost_model(), [(empty, g), (g, empty), (empty, empty)]
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("setting", ["label", "vector", "empty"])
+def test_solver_results_pinned(setting, method):
+    """Costs and maps compare with ``==``; random starts and IPFP each change some result here."""
+    model, pairs = _pinned_pairs(setting)
+    config = GedSolverConfig(method=method, multistart_count=6, rng_seed=5)
+    got = []
+    for g, g2 in pairs:
+        r = solve_ged(model, g, g2, config)
+        got.append((r.cost, tuple(r.transformation.forward.tolist()), r.is_exact))
+    assert got == PINNED[setting, method]
+
+
+@pytest.mark.parametrize(
+    "method, same_as", [("exact", "mbipartite"), ("bipartite", "mbipartite"), ("ipfp", "mipfp")]
+)
+def test_multistart_adds_random_starts_to_any_method(method, same_as):
+    model, pairs = _pinned_pairs("label")
+    for (g, g2), pinned in zip(pairs, PINNED["label", same_as]):
+        r = ged_multistart(model, g, g2, GedSolverConfig(method=method, multistart_count=6, rng_seed=5))
+        assert (r.cost, tuple(r.transformation.forward.tolist()), r.is_exact) == pinned
+
+
+@pytest.mark.parametrize("method", ["bipartite", "ipfp", "mbipartite", "mipfp"])
+def test_one_solve_builds_one_transformation(monkeypatch, method):
+    calls = {"transformation": 0, "subst": 0, "check": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        solvers, "transformation_from_forward", counted("transformation", transformation_from_forward)
+    )
+    monkeypatch.setattr(solvers, "_vertex_subst_matrix", counted("subst", solvers._vertex_subst_matrix))
+    monkeypatch.setattr(solvers, "check_model_compatible", counted("check", solvers.check_model_compatible))
+    model, pairs = _pinned_pairs("label")
+    g, g2 = pairs[0]
+    solve_ged(model, g, g2, GedSolverConfig(method=method, multistart_count=6))
+    assert calls == {"transformation": 1, "subst": 1, "check": 2}
 
 
 def test_vector_mode_solvers():
