@@ -17,6 +17,7 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from .costs import make_cost_model
@@ -51,7 +52,7 @@ DEFAULTS = {
     "run": {
         "sample": 10.0,
         "repeats": 1,
-        "threads": 1,
+        "threads": 1,  # accepted and ignored: every solve runs on one thread
         "max_iters": 100,
         "out": None,
     },
@@ -94,7 +95,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--phase2", choices=METHODS, help="solver for refinement and distances")
     parser.add_argument("--multistart", type=int, metavar="N", help="random starts per solve")
     parser.add_argument("--seed", type=int, metavar="N", help="base random seed")
-    parser.add_argument("--threads", type=int, metavar="N", help="worker threads")
+    parser.add_argument("--threads", type=int, metavar="N", help="accepted and ignored")
     parser.add_argument("--sample", type=float, metavar="X", help="per-class count (>=1) or fraction (<1)")
     parser.add_argument("--repeats", type=int, metavar="N", help="experiment repetitions")
     parser.add_argument("--out", metavar="PATH", help="output file")
@@ -164,7 +165,6 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         ("data", "edge_attr"): args.edge_attr,
         ("run", "sample"): args.sample,
         ("run", "repeats"): args.repeats,
-        ("run", "threads"): args.threads,
         ("run", "max_iters"): args.max_iters,
         ("run", "out"): args.out,
     }
@@ -193,7 +193,6 @@ def _descent_config(config: dict) -> DescentConfig:
         ged_phase1=_solver_config(config, config["ged"]["phase1"]),
         ged_phase2=_solver_config(config, config["ged"]["phase2"]),
         max_iters=int(config["run"]["max_iters"]),
-        threads=int(config["run"]["threads"]),
     )
 
 
@@ -257,7 +256,7 @@ def _load_dataset(args: argparse.Namespace, config: dict):
 def _cmd_set_median(args: argparse.Namespace, config: dict) -> int:
     dataset, model = _load_dataset(args, config)
     descent = _descent_config(config)
-    result = set_median(model, dataset.graphs, descent.ged_phase1, threads=descent.threads)
+    result = set_median(model, dataset.graphs, descent.ged_phase1)
     print(f"set-median index {result.index}")
     print(f"sod {result.sod:.12g}")
     out = config["run"]["out"] or "set_median.gmg"
@@ -279,7 +278,7 @@ def _cmd_median(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def _cmd_sod_table(args: argparse.Namespace, config: dict) -> int:
+def _cmd_report(args: argparse.Namespace, config: dict, experiment: Callable) -> int:
     dataset, model = _load_dataset(args, config)
     exp = ExperimentConfig(
         model=model,
@@ -288,24 +287,7 @@ def _cmd_sod_table(args: argparse.Namespace, config: dict) -> int:
         repeats=int(config["run"]["repeats"]),
         rng_seed=int(config["ged"]["seed"]),
     )
-    report = run_sod_experiment(dataset, exp)
-    print(report.to_table())
-    if config["run"]["out"]:
-        Path(config["run"]["out"]).write_text(report.to_csv())
-        print(f"wrote {config['run']['out']}")
-    return 0
-
-
-def _cmd_classify(args: argparse.Namespace, config: dict) -> int:
-    dataset, model = _load_dataset(args, config)
-    exp = ExperimentConfig(
-        model=model,
-        descent=_descent_config(config),
-        per_class_sample=float(config["run"]["sample"]),
-        repeats=int(config["run"]["repeats"]),
-        rng_seed=int(config["ged"]["seed"]),
-    )
-    report = run_classification(dataset, exp)
+    report = experiment(dataset, exp)
     print(report.to_table())
     if config["run"]["out"]:
         Path(config["run"]["out"]).write_text(report.to_csv())
@@ -337,9 +319,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "median":
             return _cmd_median(args, config)
         if args.command == "sod-table":
-            return _cmd_sod_table(args, config)
+            return _cmd_report(args, config, run_sod_experiment)
         if args.command == "classify":
-            return _cmd_classify(args, config)
+            return _cmd_report(args, config, run_classification)
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -193,8 +193,10 @@ def build_graph(
             raise GraphError(f"duplicate edge ({i}, {j})")
         adjacency[i, j] = adjacency[j, i] = 1
         if edge_labels:
-            lab = int(item[2])
-            edge_attrs[i, j] = edge_attrs[j, i] = lab
+            try:
+                edge_attrs[i, j] = edge_attrs[j, i] = int(item[2])
+            except OverflowError as exc:
+                raise GraphError(f"edge label {item[2]} does not fit in 64 bits") from exc
     return AttributedGraph(va, adjacency, edge_attrs, graph_id)
 
 

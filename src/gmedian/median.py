@@ -17,7 +17,6 @@ from __future__ import annotations
 import logging
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,13 +61,10 @@ class DescentConfig:
     ged_phase1: GedSolverConfig = GedSolverConfig(method="mbipartite")
     ged_phase2: GedSolverConfig = GedSolverConfig(method="mipfp")
     max_iters: int = 100
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
 
 @dataclass
@@ -140,32 +136,21 @@ def _seeded(config: GedSolverConfig, base: int, *tags: int) -> GedSolverConfig:
     return replace(config, rng_seed=_child_seed(base, *tags))
 
 
-def _map_maybe_parallel(fn, items, threads: int):
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def set_median(
-    model: CostModel,
-    collection: list[AttributedGraph],
-    config: GedSolverConfig,
-    threads: int = 1,
+    model: CostModel, collection: list[AttributedGraph], config: GedSolverConfig
 ) -> SetMedianResult:
     """Collection member minimizing the sum of estimated distances.
 
     Solves every ordered pair (the diagonal is the zero-cost identity),
     ranks members by row sum, and breaks ties towards the smallest index.
-    Pair solves draw independent seeds from ``config.rng_seed``, so the
-    outcome does not depend on evaluation order or thread count.
+    Each pair solve draws its own seed from ``config.rng_seed`` and
+    ``(p, q)``, so the outcome does not depend on evaluation order.
     """
     if not collection:
         raise ValueError("collection must be non-empty")
     m = len(collection)
 
-    def solve_pair(pq: tuple[int, int]) -> GedResult:
-        p, q = pq
+    def solve_pair(p: int, q: int) -> GedResult:
         if p == q:
             t = identity_transformation(collection[p].order)
             return GedResult(t, 0.0, True)
@@ -173,9 +158,7 @@ def set_median(
             model, collection[p], collection[q], _seeded(config, config.rng_seed, p, q)
         )
 
-    pairs = [(p, q) for p in range(m) for q in range(m)]
-    flat = _map_maybe_parallel(solve_pair, pairs, threads)
-    results = [[flat[p * m + q] for q in range(m)] for p in range(m)]
+    results = [[solve_pair(p, q) for q in range(m)] for p in range(m)]
     row_sums = np.array([sum(r.cost for r in row) for row in results])
     index = int(np.argmin(row_sums))
     return SetMedianResult(index, results, float(row_sums[index]))
@@ -329,7 +312,6 @@ def update_transformations(
     model: CostModel,
     config: GedSolverConfig,
     iteration: int = 0,
-    threads: int = 1,
 ) -> tuple[list[Transformation], float, int]:
     """Re-optimize every transformation against ``median``, keep-if-better.
 
@@ -338,22 +320,19 @@ def update_transformations(
     summed cost never increases. Returns the new maps, their summed cost,
     and how many were replaced.
     """
-
-    def refresh(p: int) -> tuple[Transformation, float, bool]:
-        old = transformations[p]
-        old_cost = forward_cost(model, old.forward, median, collection[p])
-        cand = solve_ged(
-            model, median, collection[p], _seeded(config, config.rng_seed, iteration, p)
-        )
-        if cand.cost < old_cost - _IMPROVE_EPS:
-            return cand.transformation, cand.cost, True
-        return old, old_cost, False
-
-    rows = _map_maybe_parallel(refresh, list(range(len(collection))), threads)
-    new_ts = [r[0] for r in rows]
-    sod_upper = float(sum(r[1] for r in rows))
-    changed = sum(1 for r in rows if r[2])
-    return new_ts, sod_upper, changed
+    new_ts: list[Transformation] = []
+    costs: list[float] = []
+    changed = 0
+    for p, gp in enumerate(collection):
+        t = transformations[p]
+        cost = forward_cost(model, t.forward, median, gp)
+        cand = solve_ged(model, median, gp, _seeded(config, config.rng_seed, iteration, p))
+        if cand.cost < cost - _IMPROVE_EPS:
+            t, cost = cand.transformation, cand.cost
+            changed += 1
+        new_ts.append(t)
+        costs.append(cost)
+    return new_ts, float(sum(costs)), changed
 
 
 def _forwards_equal(a: list[Transformation], b: list[Transformation]) -> bool:
@@ -379,7 +358,7 @@ def compute_median(
         check_model_compatible(model, g)
 
     t0 = time.perf_counter()
-    sm = set_median(model, collection, config.ged_phase1, config.threads)
+    sm = set_median(model, collection, config.ged_phase1)
     t_phase1 = time.perf_counter() - t0
 
     source = collection[sm.index]
@@ -399,13 +378,7 @@ def compute_median(
         state = MedianState(median, transformations, float(sod_upper), it)
         new_median = _updated_median(state, collection, model)
         new_ts, sod_upper, changed = update_transformations(
-            new_median,
-            transformations,
-            collection,
-            model,
-            config.ged_phase2,
-            iteration=it,
-            threads=config.threads,
+            new_median, transformations, collection, model, config.ged_phase2, iteration=it
         )
         converged = graphs_equal(new_median, median, vec_tol=_VEC_TOL) and _forwards_equal(
             new_ts, transformations

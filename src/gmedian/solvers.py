@@ -300,10 +300,9 @@ def _ipfp_refine(
     for _ in range(max_iters):
         grad = form.linear + form.apply(x)
         assignment, _ = lsap.solve_lsap(grad)
-        b = np.zeros_like(x)
-        b[np.arange(form.N), assignment] = 1.0
         best = min(best, form.scored(form.forward_of(assignment)))
-        d = b - x
+        d = -x
+        d[np.arange(form.N), assignment] += 1.0
         gap = float((grad * d).sum())
         if gap >= -tol:
             break

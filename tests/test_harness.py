@@ -94,22 +94,6 @@ def test_sod_experiment_deterministic():
     ]
 
 
-def test_sod_experiment_thread_invariance():
-    dataset = separated_dataset()
-    threaded = DescentConfig(
-        ged_phase1=FAST_DESCENT.ged_phase1, ged_phase2=FAST_DESCENT.ged_phase2, threads=3
-    )
-    base = ExperimentConfig(
-        model=make_cost_model(), descent=FAST_DESCENT, per_class_sample=3, rng_seed=1
-    )
-    parallel = ExperimentConfig(
-        model=make_cost_model(), descent=threaded, per_class_sample=3, rng_seed=1
-    )
-    a = run_sod_experiment(dataset, base)
-    b = run_sod_experiment(dataset, parallel)
-    assert [(r.sod_sm, r.sod_gm) for r in a.rows] == [(r.sod_sm, r.sod_gm) for r in b.rows]
-
-
 def test_sod_experiment_oversampling_rejected():
     dataset = separated_dataset(per_class=3)
     config = ExperimentConfig(model=make_cost_model(), per_class_sample=10)

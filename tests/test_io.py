@@ -1,5 +1,8 @@
 """Native graph format, GXL parsing, and collection indexes."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,6 +104,25 @@ def test_read_graph_errors():
         read_graph("gmg 1 2 label label\nv 0 1\nv 1 1\ne 0 1 z\n")
     with pytest.raises(DatasetError, match="finite"):
         read_graph("gmg 1 1 vector none\nv 0 nan 1.0\n")
+
+
+def test_read_graph_huge_order_allocates_nothing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DatasetError, match="missing vertex"):
+            read_graph("gmg 1 10000000 label label\nv 0 1\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_readers_reject_edge_labels_beyond_int64():
+    with pytest.raises(DatasetError, match="64 bits"):
+        read_graph("gmg 1 2 label label\nv 0 1\nv 1 1\ne 0 1 99999999999999999999\n")
+    big = MOL.replace(b"<int>2</int>", b"<int>99999999999999999999</int>")
+    with pytest.raises(DatasetError, match="64 bits"):
+        parse_gxl(big)
 
 
 def test_read_graph_empty_order():
@@ -261,3 +283,45 @@ def test_label_codec_rejects_mixed_kinds():
     codec.encode("A")
     with pytest.raises(DatasetError, match="mixes"):
         codec.encode(3)
+
+
+_FUZZ_ALPHABET = "0123456789 -.exvgmlabnonlt<>/=\"\n"
+
+
+def _mutate(rng: np.random.Generator, text: str) -> str:
+    """Replace, insert or delete one to three characters."""
+    chars = list(text)
+    for _ in range(int(rng.integers(1, 4))):
+        pos = int(rng.integers(0, len(chars) + 1))
+        kind = int(rng.integers(0, 3))
+        new = _FUZZ_ALPHABET[int(rng.integers(0, len(_FUZZ_ALPHABET)))]
+        if kind == 0 and pos < len(chars):
+            chars[pos] = new
+        elif kind == 1:
+            chars.insert(pos, new)
+        elif pos < len(chars):
+            del chars[pos]
+    return "".join(chars)
+
+
+def test_readers_raise_only_dataset_error_on_mutated_input():
+    rng = np.random.default_rng(77)
+    label = write_graph(build_graph(4, [1, 2, 2, 3], [(1, 2, 1), (0, 3, 3), (1, 3, 2)]))
+    vector = write_graph(build_graph(3, [[0.5, -1.25], [1e-7, 3.0], [2.0, 2.0]], [(0, 2)]))
+    cases = [
+        (read_graph, label),
+        (read_graph, vector),
+        (parse_gxl, MOL.decode()),
+        (parse_gxl, POINTS.decode()),
+    ]
+    start = time.perf_counter()
+    parsed = rejected = 0
+    for reader, text in cases:
+        for _ in range(600):
+            try:
+                reader(_mutate(rng, text))
+                parsed += 1
+            except DatasetError:
+                rejected += 1
+    assert parsed > 0 and rejected > 0  # the mutations reach both outcomes
+    assert time.perf_counter() - start < 5.0

@@ -56,18 +56,6 @@ def test_set_median_identical_ties_to_first():
     assert result.sod == 0.0
 
 
-def test_set_median_thread_invariance():
-    rng = np.random.default_rng(31)
-    model = make_cost_model()
-    collection = [random_graph(rng, int(rng.integers(2, 5))) for _ in range(5)]
-    seq = set_median(model, collection, FAST, threads=1)
-    par = set_median(model, collection, FAST, threads=3)
-    assert seq.index == par.index
-    assert seq.sod == par.sod
-    for a, b in zip(seq.transformations, par.transformations):
-        assert a.forward.tolist() == b.forward.tolist()
-
-
 def test_set_median_empty_collection():
     with pytest.raises(ValueError):
         set_median(make_cost_model(), [], EXACT)
