@@ -163,6 +163,9 @@ def build_graph(
     if attrs and not all(scalar) and len({len(a) for a in attrs}) > 1:
         raise GraphError("vector attributes must share one dimension")
     if attrs and all(scalar):
+        for a in attrs:
+            if isinstance(a, int) and not -(2**63) <= a < 2**63:
+                raise GraphError(f"vertex label {a} does not fit in 64 bits")
         va = np.asarray(attrs)
     elif attrs:
         va = np.asarray(attrs, dtype=np.float64)

@@ -11,7 +11,12 @@ Every other method runs one pipeline per pair of graphs:
 3. for ``mbipartite`` and ``mipfp``, add ``multistart_count`` seeded random
    maximal maps (:func:`ged_multistart`);
 4. for ``ipfp`` and ``mipfp``, refine every start by iterated linear
-   approximation of the quadratic cost (:func:`ged_ipfp`), else score it;
+   approximation of the quadratic cost (:func:`ged_ipfp`), else score it.
+   Each step takes one Hessian product, on the LSAP's permutation b:
+   ``qb = Q b`` is a row gather and one GEMM, O(B N^3) for the B = 2 + L
+   edge terms. ``Q x`` is carried by linearity, ``Q x' = Q x + alpha (qb -
+   Q x)``, and reset to ``qb`` on a full step (alpha = 1), which lands
+   exactly on b, so rounding does not accumulate across full steps;
 5. keep the cheapest map, ties to the lexicographically smaller one, and
    build its :class:`Transformation`.
 
@@ -224,6 +229,13 @@ class _QapForm:
     of g, g2 padded to N x N (N = n + n2), E_l, F_l their edges labelled l
     and J all ones: ``E X (c_er J - (c_er + c_ei - c_es) F) + c_ei (J - I) X F
     - c_es sum_l E_l X F_l``, in O(N^3) time and O(N^2) memory per term.
+
+    The B = 2 + L terms are held as one (N, B*N) block row of left factors
+    and a (B, N, N) stack of right factors. :meth:`apply` takes B products
+    ``X @ right_b`` and one (N, B*N) x (B*N, N) GEMM. On a permutation
+    matrix P, ``P @ right_b`` is a row gather of ``right_b``, so
+    :meth:`apply_permutation` takes one gather and that one GEMM, which is
+    all that IPFP needs.
     """
 
     def __init__(self, model: CostModel, g: AttributedGraph, g2: AttributedGraph):
@@ -243,28 +255,40 @@ class _QapForm:
         self._scores: dict[bytes, tuple[float, tuple[int, ...]]] = {}
 
     @cached_property
-    def _stacks(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(left, right)`` with ``apply(X) = sum over b of left[b] @ X @ right[b]``; built on first use."""
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(lcat, right)`` with ``lcat[:, b*N:(b+1)*N] = left_b`` and ``right[b] = right_b``.
+
+        ``apply(X) = sum over b of left_b @ X @ right_b``; built on first use.
+        """
         g, g2, n, n2, N = self.g, self.g2, self.n, self.n2, self.N
         cer, cei = self.model.c_er, self.model.c_ei
         ces = self.model.edge_subst.cost if isinstance(self.model.edge_subst, LabelDelta) else 0.0
         # only a label on edges of both graphs can be kept unchanged
         labels = np.intersect1d(g.edge_attrs[g.adjacency == 1], g2.edge_attrs[g2.adjacency == 1]) if ces else []
-        left = np.zeros((2 + len(labels), N, N))
-        right = np.zeros_like(left)
-        left[0, :n, :n] = g.adjacency
-        left[1] = cei * (1.0 - np.eye(N))
+        B = 2 + len(labels)
+        lcat = np.zeros((N, B, N))
+        right = np.zeros((B, N, N))
+        lcat[:n, 0, :n] = g.adjacency
+        lcat[:, 1] = cei * (1.0 - np.eye(N))
         right[1, :n2, :n2] = g2.adjacency
         right[0] = cer - (cer + cei - ces) * right[1]
         for b, label in enumerate(labels, 2):
-            left[b, :n, :n] = -ces * g.adjacency * (g.edge_attrs == label)
+            lcat[:n, b, :n] = -ces * g.adjacency * (g.edge_attrs == label)
             right[b, :n2, :n2] = g2.adjacency * (g2.edge_attrs == label)
-        return left, right
+        return lcat.reshape(N, B * N), right
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``(Q @ x.ravel()).reshape(N, N)`` for the symmetric (N^2 x N^2) Hessian Q."""
-        left, right = self._stacks
-        return (left @ x @ right).sum(axis=0)
+        lcat, right = self._blocks
+        return lcat @ (x @ right).reshape(lcat.shape[1], self.N)
+
+    def apply_permutation(self, assignment: np.ndarray) -> np.ndarray:
+        """``apply(P)`` for the permutation matrix ``P[r, assignment[r]] = 1``.
+
+        ``P @ right_b = right_b[assignment]``, a gather in place of B GEMMs.
+        """
+        lcat, right = self._blocks
+        return lcat @ right.take(assignment, axis=1).reshape(lcat.shape[1], self.N)
 
     def start_matrix(self, forward: np.ndarray) -> np.ndarray:
         """Permutation matrix of ``forward``: removals and free insertions on the diagonals."""
@@ -297,18 +321,23 @@ def _ipfp_refine(
     """Run the refinement from one initial map; returns the best discrete point."""
     best = form.scored(init_forward)
     x = form.start_matrix(init_forward)
+    qx = form.apply_permutation(x.nonzero()[1])
     for _ in range(max_iters):
-        grad = form.linear + form.apply(x)
+        grad = form.linear + qx
         assignment, _ = lsap.solve_lsap(grad)
         best = min(best, form.scored(form.forward_of(assignment)))
         d = -x
         d[np.arange(form.N), assignment] += 1.0
-        gap = float((grad * d).sum())
+        gap = float(np.vdot(grad, d))
         if gap >= -tol:
             break
-        curvature = float((d * form.apply(d)).sum())
+        qb = form.apply_permutation(assignment)
+        qd = qb - qx
+        curvature = float(np.vdot(d, qd))
         alpha = 1.0 if curvature <= 0 else min(1.0, -gap / curvature)
         x = x + alpha * d
+        # a full step lands exactly on the permutation, so its product resets any drift
+        qx = qb if alpha == 1.0 else qx + alpha * qd
     assignment, _ = lsap.solve_lsap(-x)
     return min(best, form.scored(form.forward_of(assignment)))
 

@@ -20,6 +20,7 @@ from gmedian import (
     save_graph,
     write_graph,
 )
+from gmedian.cli import main
 
 from oracles import random_graph
 
@@ -123,6 +124,19 @@ def test_readers_reject_edge_labels_beyond_int64():
     big = MOL.replace(b"<int>2</int>", b"<int>99999999999999999999</int>")
     with pytest.raises(DatasetError, match="64 bits"):
         parse_gxl(big)
+
+
+def test_readers_reject_vertex_labels_beyond_int64(tmp_path):
+    text = "gmg 1 2 label label\nv 0 99999999999999999999\nv 1 1\n"
+    with pytest.raises(DatasetError, match="64 bits"):
+        read_graph(text)
+    big = MOL.replace(b"<string>O</string>", b"<int>99999999999999999999</int>")
+    big = big.replace(b"<string>C</string>", b"<int>1</int>")
+    with pytest.raises(DatasetError, match="64 bits"):
+        parse_gxl(big)
+    path = tmp_path / "big.gmg"
+    path.write_text(text)
+    assert main(["ged", str(path), str(path)]) == 2
 
 
 def test_read_graph_empty_order():

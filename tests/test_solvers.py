@@ -139,6 +139,57 @@ def test_quadratic_form_product_matches_dense_oracle(edge_mode):
         np.testing.assert_allclose(form.apply(x), expected, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("edge_mode", ["label", "none"])
+def test_permutation_product_matches_general_product_and_dense_oracle(edge_mode):
+    rng = np.random.default_rng(28)
+    if edge_mode == "label":
+        model = make_cost_model(c_vs=2.0, c_es=1.5, c_vr=2.5, c_vi=3.0, c_er=2.0, c_ei=3.5)
+    else:
+        model = make_cost_model(edge_mode="none", c_er=2.0, c_ei=1.0)
+    for n in range(7):
+        for n2 in range(7):
+            g = random_graph(rng, n, edge_mode=edge_mode, edge_values=(1, 2, 3))
+            g2 = random_graph(rng, n2, edge_mode=edge_mode, edge_values=(1, 2, 3))
+            form = _QapForm(model, g, g2)
+            q = dense_quad(model, g, g2)
+            # the start of a random map, then any permutation, as the LSAP may return
+            forward = np.asarray(random_forward(rng, n, n2), dtype=np.int64)
+            for assignment in (form.start_matrix(forward).nonzero()[1], rng.permutation(form.N)):
+                x = np.zeros((form.N, form.N))
+                x[np.arange(form.N), assignment] = 1.0
+                got = form.apply_permutation(assignment)
+                np.testing.assert_allclose(got, form.apply(x), rtol=0, atol=1e-9)
+                np.testing.assert_allclose(got, (q @ x.ravel()).reshape(form.N, form.N), rtol=0, atol=1e-9)
+
+
+def test_ipfp_takes_one_permutation_product_per_step(monkeypatch):
+    calls = {"product": 0, "lsap": 0}
+
+    def general_product(self, x):
+        raise AssertionError("IPFP must not take a general Hessian product")
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(_QapForm, "apply", general_product)
+    monkeypatch.setattr(_QapForm, "apply_permutation", counted("product", _QapForm.apply_permutation))
+    monkeypatch.setattr(solvers.lsap, "solve_lsap", counted("lsap", solvers.lsap.solve_lsap))
+    model, pairs = _pinned_pairs("label")
+    # every start of this pair stops on the gap before the iteration cap
+    g, g2 = pairs[2]
+    r = solve_ged(model, g, g2, GedSolverConfig(method="mipfp", multistart_count=6, rng_seed=5))
+    assert (r.cost, tuple(r.transformation.forward.tolist())) == PINNED["label", "mipfp"][2][:2]
+    starts = 1 + 6
+    # one LSAP for the bipartite start; per start, one per step, one finding no descent, one projection
+    steps = calls["lsap"] - 1 - 2 * starts
+    assert calls["product"] == starts + steps
+    assert calls == {"product": 29, "lsap": 37}
+
+
 def test_mipfp_order_50_runs_in_bounded_memory():
     rng = np.random.default_rng(27)
     g = random_graph(rng, 50, p_edge=0.1)
