@@ -23,6 +23,7 @@ from pathlib import Path
 from .costs import make_cost_model
 from .datasets import (
     DatasetError,
+    LabelCodec,
     ModeHints,
     load_collection,
     load_graph,
@@ -134,6 +135,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_type_ok(default, key: str, value) -> bool:
+    """Numbers where the default is a number; a string (or null where the default is null) otherwise."""
+    if key == "node_attrs":
+        return value is None or (isinstance(value, list) and all(isinstance(v, str) for v in value))
+    if default is None or isinstance(default, str):
+        return isinstance(value, str) or (default is None and value is None)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _resolve_config(args: argparse.Namespace) -> dict:
     config = copy.deepcopy(DEFAULTS)
     if args.config:
@@ -151,6 +161,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             for key, value in values.items():
                 if key not in config[section]:
                     raise UsageError(f"unknown config key {section}.{key}")
+                if not _config_type_ok(DEFAULTS[section][key], key, value):
+                    raise UsageError(f"config key {section}.{key} has the wrong type: {json.dumps(value)}")
                 config[section][key] = value
     if args.cost:
         config["cost"].update(_parse_cost_spec(args.cost))
@@ -204,20 +216,10 @@ def _hints(config: dict) -> ModeHints | None:
 
 
 def _model_for(config: dict, vertex_mode: str, edge_mode: str):
-    cost = config["cost"]
-    return make_cost_model(
-        vertex_mode,
-        edge_mode,
-        c_vs=cost["c_vs"],
-        c_es=cost["c_es"],
-        c_vr=cost["c_vr"],
-        c_vi=cost["c_vi"],
-        c_er=cost["c_er"],
-        c_ei=cost["c_ei"],
-    )
+    return make_cost_model(vertex_mode, edge_mode, **config["cost"])
 
 
-def _read_graph_file(path: str, config: dict):
+def _read_graph_file(path: str, config: dict, vertex_codec: LabelCodec, edge_codec: LabelCodec):
     suffix = Path(path).suffix.lower()
     if suffix == ".gmg":
         return load_graph(path)
@@ -225,7 +227,9 @@ def _read_graph_file(path: str, config: dict):
         data = Path(path).read_bytes()
     except OSError as exc:
         raise DatasetError(f"cannot read graph file {path}: {exc}")
-    return parse_gxl(data, _hints(config), graph_id=Path(path).stem)
+    return parse_gxl(
+        data, _hints(config), vertex_codec=vertex_codec, edge_codec=edge_codec, graph_id=Path(path).stem
+    )
 
 
 def _format_forward(t) -> str:
@@ -237,8 +241,10 @@ def _format_forward(t) -> str:
 
 
 def _cmd_ged(args: argparse.Namespace, config: dict) -> int:
-    g = _read_graph_file(args.graph, config)
-    g2 = _read_graph_file(args.graph2, config)
+    # one codec per attribute space, so a string label gets the same code in both files
+    codecs = (LabelCodec(), LabelCodec())
+    g = _read_graph_file(args.graph, config, *codecs)
+    g2 = _read_graph_file(args.graph2, config, *codecs)
     model = _model_for(config, g.vertex_mode, g.edge_mode)
     result = solve_ged(model, g, g2, _solver_config(config, config["ged"]["method"]))
     print(f"cost {result.cost:.12g}")

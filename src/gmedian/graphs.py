@@ -270,17 +270,17 @@ def identity_transformation(order: int) -> Transformation:
     return transformation_from_forward(np.arange(order), order, order)
 
 
-def _kept_edges(a: np.ndarray, a2: np.ndarray, forward: np.ndarray) -> np.ndarray:
-    """Mask of the edges of ``a`` substituted under ``forward``; the others are removed.
-
-    ``a2`` gets a zero row and column at index ``len(a2)``, the image of a
-    removed vertex. With ``(a2, a, reverse)`` it marks the edges of ``a2``
-    that are not inserted.
-    """
+def _projected(a2: np.ndarray, forward: np.ndarray) -> np.ndarray:
+    """``a2[forward][:, forward]``, where index ``len(a2)``, the image of a removed vertex, reads 0."""
     n2 = a2.shape[0]
     a2pad = np.zeros((n2 + 1, n2 + 1), dtype=a2.dtype)
     a2pad[:n2, :n2] = a2
-    return a & a2pad[forward][:, forward]
+    return a2pad[forward][:, forward]
+
+
+def _kept_edges(a: np.ndarray, a2: np.ndarray, forward: np.ndarray) -> np.ndarray:
+    """Edges of ``a`` substituted under ``forward``; ``(a2, a, reverse)`` gives the edges of ``a2`` not inserted."""
+    return a & _projected(a2, forward)
 
 
 def classify_edges(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import logging
 import time
-from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,6 +25,7 @@ from .graphs import (
     LABEL,
     AttributedGraph,
     Transformation,
+    _projected,
     graphs_equal,
     identity_transformation,
 )
@@ -89,16 +89,32 @@ class MedianState:
 
 @dataclass
 class SubstitutionSets:
-    """Which collection vertices and edges each median coordinate maps onto.
+    """The collection members read through their maps onto the median's vertices.
 
-    ``vertex_sets[i]`` lists ``(p, k)`` pairs: vertex ``i`` is substituted to
-    vertex ``k`` of member ``p``. ``edge_sets[(i, j)]`` (i < j, present only
-    when non-empty) lists ``(p, (k, l))`` pairs where both endpoints are
-    substituted and ``(k, l)`` is an edge of member ``p``.
+    ``targets`` has shape (m, n): ``targets[p, i]`` is the vertex of member
+    ``p`` that median vertex ``i`` is substituted to, or -1 when ``i`` is
+    removed. ``edges`` has shape (m, n, n): ``edges[p, i, j]`` is 1 when
+    both endpoints are substituted and their images are adjacent in member
+    ``p``. The same entries by median coordinate: ``vertex_sets[i]`` lists
+    ``(p, k)``, median vertex ``i`` substituted to vertex ``k`` of member
+    ``p``; ``edge_sets[(i, j)]`` (i < j, present only when non-empty) lists
+    ``(p, (k, l))``, the pair mapped onto the edge ``(k, l)`` of member ``p``.
     """
 
-    vertex_sets: list[list[tuple[int, int]]]
-    edge_sets: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]]
+    targets: np.ndarray
+    edges: np.ndarray
+
+    @property
+    def vertex_sets(self) -> list[list[tuple[int, int]]]:
+        return [[(p, int(k)) for p, k in enumerate(column) if k >= 0] for column in self.targets.T]
+
+    @property
+    def edge_sets(self) -> dict[tuple[int, int], list[tuple[int, tuple[int, int]]]]:
+        sets: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]] = {}
+        for p, i, j in zip(*np.triu(self.edges, 1).nonzero()):
+            k, l = self.targets[p, i], self.targets[p, j]
+            sets.setdefault((int(i), int(j)), []).append((int(p), (int(k), int(l))))
+        return sets
 
 
 @dataclass
@@ -152,8 +168,7 @@ def set_median(
 
     def solve_pair(p: int, q: int) -> GedResult:
         if p == q:
-            t = identity_transformation(collection[p].order)
-            return GedResult(t, 0.0, True)
+            return GedResult(identity_transformation(collection[p].order), 0.0, True)
         return solve_ged(
             model, collection[p], collection[q], _seeded(config, config.rng_seed, p, q)
         )
@@ -167,47 +182,47 @@ def set_median(
 def collect_substitution_sets(
     state: MedianState, collection: list[AttributedGraph]
 ) -> SubstitutionSets:
-    """Group substituted vertices and edges by median coordinate."""
+    """Read every member through its map onto the median's vertices."""
     n = state.median.order
-    vertex_sets: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    edge_sets: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]] = {}
+    targets = np.full((len(collection), n), -1, dtype=np.int64)
+    edges = np.zeros((len(collection), n, n), dtype=np.int8)
     for p, (t, gp) in enumerate(zip(state.transformations, collection)):
-        f = t.forward
-        np_ = t.target_order
-        ap = gp.adjacency
-        sub = [int(f[i]) if f[i] < np_ else -1 for i in range(n)]
-        for i in range(n):
-            if sub[i] >= 0:
-                vertex_sets[i].append((p, sub[i]))
-        for i in range(n):
-            ki = sub[i]
-            if ki < 0:
-                continue
-            for j in range(i + 1, n):
-                kj = sub[j]
-                if kj >= 0 and ap[ki, kj]:
-                    edge_sets.setdefault((i, j), []).append((p, (ki, kj)))
-    return SubstitutionSets(vertex_sets, edge_sets)
+        targets[p] = np.where(t.substituted, t.forward, -1)
+        edges[p] = _projected(gp.adjacency, t.forward)
+    return SubstitutionSets(targets, edges)
 
 
-def _majority(counts: Counter) -> tuple[int, int]:
-    """(label, count) with the highest count; ties go to the smallest label."""
-    top = max(counts.values())
-    label = min(lab for lab, c in counts.items() if c == top)
+def _majority(filled: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Most frequent value per slot over the members that fill it, and its count.
+
+    ``filled`` (bool) and ``values`` have shape (m, ...), one row per member.
+    Ties go to the smallest value; a slot no member fills gets count 0.
+    """
+    label, top = np.zeros((2, *filled.shape[1:]), dtype=np.int64)
+    for value in np.unique(values[filled]):  # ascending, and only a strictly higher count wins
+        count = (filled & (values == value)).sum(axis=0)
+        better = count > top
+        label[better], top[better] = value, count[better]
     return label, top
+
+
+def _vertex_values(
+    median: AttributedGraph, sets: SubstitutionSets, collection: list[AttributedGraph]
+) -> np.ndarray:
+    """Attributes of the member vertices under each median vertex, shape (m, n, ...); 0 where removed."""
+    values = np.zeros(sets.targets.shape + median.vertex_attrs.shape[1:], median.vertex_attrs.dtype)
+    for p, (targets, gp) in enumerate(zip(sets.targets, collection)):
+        sub = targets >= 0
+        values[p, sub] = gp.vertex_attrs[targets[sub]]
+    return values
 
 
 def update_vertex_labels(
     median: AttributedGraph, sets: SubstitutionSets, collection: list[AttributedGraph]
 ) -> np.ndarray:
     """Majority label over the substituted positions; unchanged when none."""
-    phi = median.vertex_attrs.copy()
-    for i, entries in enumerate(sets.vertex_sets):
-        if not entries:
-            continue
-        counts = Counter(int(collection[p].vertex_attrs[k]) for p, k in entries)
-        phi[i], _ = _majority(counts)
-    return phi
+    label, top = _majority(sets.targets >= 0, _vertex_values(median, sets, collection))
+    return np.where(top > 0, label, median.vertex_attrs)
 
 
 def update_vertex_vectors(
@@ -215,10 +230,10 @@ def update_vertex_vectors(
 ) -> np.ndarray:
     """Mean of the substituted attribute vectors; unchanged when none."""
     phi = median.vertex_attrs.copy()
-    for i, entries in enumerate(sets.vertex_sets):
-        if not entries:
-            continue
-        phi[i] = np.mean([collection[p].vertex_attrs[k] for p, k in entries], axis=0)
+    sub = sets.targets >= 0
+    points = _vertex_values(median, sets, collection)
+    for i in np.flatnonzero(sub.any(axis=0)):
+        phi[i] = np.mean(points[sub[:, i], i], axis=0)
     return phi
 
 
@@ -239,30 +254,22 @@ def update_edges_labeled(
     """
     if not isinstance(model.edge_subst, LabelDelta):
         raise ValueError("labeled edge update needs a label-delta edge cost")
-    n = median.order
     m = len(collection)
     ces = model.edge_subst.cost
     cer, cei = model.c_er, model.c_ei
-    adjacency = np.zeros((n, n), dtype=np.int8)
-    attrs = median.edge_attrs.copy()
-    for i in range(n):
-        for j in range(i + 1, n):
-            entries = sets.edge_sets.get((i, j), [])
-            s = len(entries)
-            if entries:
-                counts = Counter(int(collection[p].edge_attrs[k, l]) for p, (k, l) in entries)
-                label, top = _majority(counts)
-                attrs[i, j] = attrs[j, i] = label
-            else:
-                top = 0
-            if ces > 0:
-                keep = top > m * cer / ces + s * (1.0 - (cer + cei) / ces)
-            else:
-                # free substitution: same drop/keep rule as unattributed edges
-                keep = (cer + cei) > 0 and s > m * cer / (cer + cei)
-            if keep:
-                adjacency[i, j] = adjacency[j, i] = 1
-    return adjacency, attrs
+    mapped = sets.edges == 1
+    labels = np.zeros(sets.edges.shape, dtype=np.int64)
+    for p, (targets, gp) in enumerate(zip(sets.targets, collection)):
+        labels[p] = _projected(gp.edge_attrs, np.where(targets >= 0, targets, gp.order))
+    top_label, top = _majority(mapped, labels)
+    s = mapped.sum(axis=0)
+    if ces > 0:
+        # the diagonal and the unmapped pairs have s = top = 0 and are never kept
+        adjacency = (top > m * cer / ces + s * (1.0 - (cer + cei) / ces)).astype(np.int8)
+    else:
+        # free substitution: same drop/keep rule as unattributed edges
+        adjacency = update_edges_unlabeled(median, sets, collection, model)
+    return adjacency, np.where(s > 0, top_label, median.edge_attrs)
 
 
 def update_edges_unlabeled(
@@ -276,17 +283,12 @@ def update_edges_unlabeled(
     The edge exists iff the mapped-edge count strictly exceeds
     ``m * c_er / (c_er + c_ei)``; ties drop the edge.
     """
-    n = median.order
     m = len(collection)
     total = model.c_er + model.c_ei
-    adjacency = np.zeros((n, n), dtype=np.int8)
     if total == 0:
-        return adjacency  # keeping and dropping tie everywhere; ties drop the edge
-    threshold = m * model.c_er / total
-    for (i, j), entries in sets.edge_sets.items():
-        if len(entries) > threshold:
-            adjacency[i, j] = adjacency[j, i] = 1
-    return adjacency
+        # keeping and dropping tie everywhere; ties drop the edge
+        return np.zeros(sets.edges.shape[1:], dtype=np.int8)
+    return (sets.edges.sum(axis=0) > m * model.c_er / total).astype(np.int8)
 
 
 def _updated_median(
@@ -335,10 +337,6 @@ def update_transformations(
     return new_ts, float(sum(costs)), changed
 
 
-def _forwards_equal(a: list[Transformation], b: list[Transformation]) -> bool:
-    return all(np.array_equal(x.forward, y.forward) for x, y in zip(a, b))
-
-
 def compute_median(
     model: CostModel, collection: list[AttributedGraph], config: DescentConfig = DescentConfig()
 ) -> MedianResult:
@@ -380,8 +378,8 @@ def compute_median(
         new_ts, sod_upper, changed = update_transformations(
             new_median, transformations, collection, model, config.ged_phase2, iteration=it
         )
-        converged = graphs_equal(new_median, median, vec_tol=_VEC_TOL) and _forwards_equal(
-            new_ts, transformations
+        converged = graphs_equal(new_median, median, vec_tol=_VEC_TOL) and all(
+            np.array_equal(new.forward, old.forward) for new, old in zip(new_ts, transformations)
         )
         median, transformations = new_median, new_ts
         seconds = time.perf_counter() - tick

@@ -110,12 +110,9 @@ def ged_exact(
     cvs = model.vertex_subst.cost if label_vertices else 0.0
     ces = model.edge_subst.cost if label_edges else 0.0
     cvr, cvi, cer, cei = model.c_vr, model.c_vi, model.c_er, model.c_ei
-    if label_vertices:
-        phi = g.vertex_attrs.tolist()
-        phi2 = g2.vertex_attrs.tolist()
-    else:
-        phi = [row for row in g.vertex_attrs]
-        phi2 = [row for row in g2.vertex_attrs]
+    # labels as Python ints, vectors as row arrays
+    phi = g.vertex_attrs.tolist() if label_vertices else list(g.vertex_attrs)
+    phi2 = g2.vertex_attrs.tolist() if label_vertices else list(g2.vertex_attrs)
     a = g.adjacency.tolist()
     a2 = g2.adjacency.tolist()
     ea = g.edge_attrs.tolist() if g.edge_attrs is not None else None
@@ -222,20 +219,20 @@ class _QapForm:
     """Quadratic form of the edit cost over the augmented assignment layout.
 
     For an (n + n2) x (n2 + n) permutation matrix X encoding a
-    transformation, ``(linear * X).sum() + 0.5 * (X * apply(X)).sum()``
-    equals the true transformation cost. :meth:`apply` is the product with
-    the Hessian in matrix form (Bougleux et al., "Graph edit distance as a
-    quadratic assignment problem", 2017), with E, F the adjacency matrices
-    of g, g2 padded to N x N (N = n + n2), E_l, F_l their edges labelled l
-    and J all ones: ``E X (c_er J - (c_er + c_ei - c_es) F) + c_ei (J - I) X F
+    transformation, ``(linear * X).sum() + 0.5 * (X * QX).sum()`` equals the
+    true transformation cost, with ``QX = (Q @ X.ravel()).reshape(N, N)`` the
+    product with the symmetric (N^2 x N^2) Hessian Q. In matrix form
+    (Bougleux et al., "Graph edit distance as a quadratic assignment
+    problem", 2017), with E, F the adjacency matrices of g, g2 padded to
+    N x N (N = n + n2), E_l, F_l their edges labelled l and J all ones,
+    ``QX = E X (c_er J - (c_er + c_ei - c_es) F) + c_ei (J - I) X F
     - c_es sum_l E_l X F_l``, in O(N^3) time and O(N^2) memory per term.
 
     The B = 2 + L terms are held as one (N, B*N) block row of left factors
-    and a (B, N, N) stack of right factors. :meth:`apply` takes B products
-    ``X @ right_b`` and one (N, B*N) x (B*N, N) GEMM. On a permutation
-    matrix P, ``P @ right_b`` is a row gather of ``right_b``, so
-    :meth:`apply_permutation` takes one gather and that one GEMM, which is
-    all that IPFP needs.
+    and a (B, N, N) stack of right factors. On a permutation matrix P,
+    ``P @ right_b`` is a row gather of ``right_b``, so
+    :meth:`apply_permutation` takes one gather and one (N, B*N) x (B*N, N)
+    GEMM. IPFP only ever multiplies Q by a permutation.
     """
 
     def __init__(self, model: CostModel, g: AttributedGraph, g2: AttributedGraph):
@@ -258,7 +255,7 @@ class _QapForm:
     def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """``(lcat, right)`` with ``lcat[:, b*N:(b+1)*N] = left_b`` and ``right[b] = right_b``.
 
-        ``apply(X) = sum over b of left_b @ X @ right_b``; built on first use.
+        ``QX = sum over b of left_b @ X @ right_b``; built on first use.
         """
         g, g2, n, n2, N = self.g, self.g2, self.n, self.n2, self.N
         cer, cei = self.model.c_er, self.model.c_ei
@@ -277,15 +274,10 @@ class _QapForm:
             right[b, :n2, :n2] = g2.adjacency * (g2.edge_attrs == label)
         return lcat.reshape(N, B * N), right
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """``(Q @ x.ravel()).reshape(N, N)`` for the symmetric (N^2 x N^2) Hessian Q."""
-        lcat, right = self._blocks
-        return lcat @ (x @ right).reshape(lcat.shape[1], self.N)
-
     def apply_permutation(self, assignment: np.ndarray) -> np.ndarray:
-        """``apply(P)`` for the permutation matrix ``P[r, assignment[r]] = 1``.
+        """``(Q @ P.ravel()).reshape(N, N)`` for the permutation matrix ``P[r, assignment[r]] = 1``.
 
-        ``P @ right_b = right_b[assignment]``, a gather in place of B GEMMs.
+        ``P @ right_b = right_b[assignment]``, a row gather in place of a GEMM.
         """
         lcat, right = self._blocks
         return lcat @ right.take(assignment, axis=1).reshape(lcat.shape[1], self.N)

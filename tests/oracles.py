@@ -3,13 +3,14 @@
 Everything here is written as plain loops over Python scalars, deliberately
 avoiding the vectorized code paths in the package: costs as literal double
 sums over ordered vertex pairs, distances by enumerating every vertex map,
-assignments by trying every permutation. Slow on purpose; used only on
-small inputs.
+assignments by trying every permutation, the median's closed-form updates
+median coordinate by coordinate. Slow on purpose; used only on small inputs.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 
@@ -225,3 +226,102 @@ def random_forward(rng: np.random.Generator, n: int, n2: int) -> list[int]:
     for i, target in zip(sources, images):
         forward[int(i)] = int(target)
     return forward
+
+
+def loop_substitution_sets(state, collection: list[AttributedGraph]):
+    """``(vertex_sets, edge_sets)`` of a descent state, entry by entry.
+
+    ``vertex_sets[i]`` lists ``(p, k)``: median vertex i is substituted to
+    vertex k of member p. ``edge_sets[(i, j)]`` (i < j, present only when
+    non-empty) lists ``(p, (k, l))`` where both endpoints are substituted and
+    ``(k, l)`` is an edge of member p.
+    """
+    n = state.median.order
+    vertex_sets: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    edge_sets: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]] = {}
+    for p, (t, gp) in enumerate(zip(state.transformations, collection)):
+        f = t.forward
+        np_ = t.target_order
+        ap = gp.adjacency
+        sub = [int(f[i]) if f[i] < np_ else -1 for i in range(n)]
+        for i in range(n):
+            if sub[i] >= 0:
+                vertex_sets[i].append((p, sub[i]))
+        for i in range(n):
+            ki = sub[i]
+            if ki < 0:
+                continue
+            for j in range(i + 1, n):
+                kj = sub[j]
+                if kj >= 0 and ap[ki, kj]:
+                    edge_sets.setdefault((i, j), []).append((p, (ki, kj)))
+    return vertex_sets, edge_sets
+
+
+def _loop_majority(counts: Counter) -> tuple[int, int]:
+    top = max(counts.values())
+    label = min(lab for lab, c in counts.items() if c == top)
+    return label, top
+
+
+def loop_vertex_labels(median: AttributedGraph, vertex_sets, collection) -> np.ndarray:
+    """Majority label over the substituted positions; unchanged when none."""
+    phi = median.vertex_attrs.copy()
+    for i, entries in enumerate(vertex_sets):
+        if not entries:
+            continue
+        counts = Counter(int(collection[p].vertex_attrs[k]) for p, k in entries)
+        phi[i], _ = _loop_majority(counts)
+    return phi
+
+
+def loop_vertex_vectors(median: AttributedGraph, vertex_sets, collection) -> np.ndarray:
+    """Mean of the substituted attribute vectors; unchanged when none."""
+    phi = median.vertex_attrs.copy()
+    for i, entries in enumerate(vertex_sets):
+        if not entries:
+            continue
+        phi[i] = np.mean([collection[p].vertex_attrs[k] for p, k in entries], axis=0)
+    return phi
+
+
+def loop_edges_labeled(median: AttributedGraph, edge_sets, collection, model: CostModel):
+    """Majority edge label and keep-or-drop threshold, vertex pair by vertex pair."""
+    n = median.order
+    m = len(collection)
+    ces = model.edge_subst.cost
+    cer, cei = model.c_er, model.c_ei
+    adjacency = np.zeros((n, n), dtype=np.int8)
+    attrs = median.edge_attrs.copy()
+    for i in range(n):
+        for j in range(i + 1, n):
+            entries = edge_sets.get((i, j), [])
+            s = len(entries)
+            if entries:
+                counts = Counter(int(collection[p].edge_attrs[k, l]) for p, (k, l) in entries)
+                label, top = _loop_majority(counts)
+                attrs[i, j] = attrs[j, i] = label
+            else:
+                top = 0
+            if ces > 0:
+                keep = top > m * cer / ces + s * (1.0 - (cer + cei) / ces)
+            else:
+                keep = (cer + cei) > 0 and s > m * cer / (cer + cei)
+            if keep:
+                adjacency[i, j] = adjacency[j, i] = 1
+    return adjacency, attrs
+
+
+def loop_edges_unlabeled(median: AttributedGraph, edge_sets, collection, model: CostModel) -> np.ndarray:
+    """Keep an edge iff its mapped-edge count strictly exceeds ``m * c_er / (c_er + c_ei)``."""
+    n = median.order
+    m = len(collection)
+    total = model.c_er + model.c_ei
+    adjacency = np.zeros((n, n), dtype=np.int8)
+    if total == 0:
+        return adjacency
+    threshold = m * model.c_er / total
+    for (i, j), entries in edge_sets.items():
+        if len(entries) > threshold:
+            adjacency[i, j] = adjacency[j, i] = 1
+    return adjacency

@@ -205,6 +205,27 @@ def test_gxl_input_for_ged(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "cost 1"
 
 
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [("median", "cost", "c_vs", None), ("classify", "run", "sample", None), ("ged", "cost", "c_vr", "x")],
+)
+def test_config_value_of_wrong_type(command, section, key, value, graph_files, dataset, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    inputs = list(graph_files) if command == "ged" else ["--dataset", dataset]
+    assert main([command, *inputs, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{section}.{key}" in err
+
+
+def test_ged_reads_both_gxl_files_with_one_label_codec(tmp_path, capsys):
+    for name, label in (("c", "C"), ("o", "O")):
+        node = f'<node id="n0"><attr name="chem"><string>{label}</string></attr></node>'
+        (tmp_path / f"{name}.gxl").write_text(GXL_TEMPLATE.format(gid=name, nodes=node, edges=""))
+    assert main(["ged", str(tmp_path / "c.gxl"), str(tmp_path / "o.gxl"), "--method", "exact"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "cost 1"
+
+
 def test_log_env(monkeypatch, graph_files, capsys):
     a, b = graph_files
     monkeypatch.setenv("GMG_LOG", "info")

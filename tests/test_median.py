@@ -1,5 +1,7 @@
 """Set median, closed-form coordinate updates, and the descent loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,16 @@ from gmedian.median import (
     update_vertex_vectors,
 )
 
-from oracles import fixed_maps_sod, random_forward, random_graph
+from oracles import (
+    fixed_maps_sod,
+    loop_edges_labeled,
+    loop_edges_unlabeled,
+    loop_substitution_sets,
+    loop_vertex_labels,
+    loop_vertex_vectors,
+    random_forward,
+    random_graph,
+)
 
 EXACT = GedSolverConfig(method="exact")
 FAST = GedSolverConfig(method="mipfp", multistart_count=6)
@@ -245,6 +256,118 @@ def test_vector_update_beats_random_probes():
                 phi[i] = updated.vertex_attrs[i] + rng.normal(scale=0.5, size=phi.shape[1])
                 probe = AttributedGraph(phi, updated.adjacency, None)
                 assert base <= fixed_maps_sod(model, probe, members, ts) + 1e-9
+
+
+def _identical(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_updates_match_loop_reference():
+    """Array reductions give the same bits as the vertex-by-vertex, pair-by-pair loops."""
+    rng = np.random.default_rng(39)
+    models = (
+        {},
+        {"c_es": 0.0},
+        {"c_es": 0.3, "c_er": 0.1, "c_ei": 0.2},
+        {"c_es": 0.0, "c_er": 0.0, "c_ei": 0.0},
+    )
+    states = 0
+    for costs in models:
+        for vertex_mode in ("label", "vector"):
+            for edge_mode in ("label", "none"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    model = make_cost_model(vertex_mode, edge_mode, **costs)
+                for _ in range(40):
+                    kinds = {
+                        "vertex_mode": vertex_mode,
+                        "edge_mode": edge_mode,
+                        "label_values": tuple(range(1, int(rng.integers(1, 6)) + 1)),
+                        "edge_values": tuple(range(1, int(rng.integers(1, 6)) + 1)),
+                        "p_edge": float(rng.uniform(0.2, 0.9)),
+                    }
+                    n = int(rng.integers(0, 7))
+                    median = random_graph(rng, n, **kinds)
+                    members, ts = [], []
+                    for _ in range(int(rng.integers(0, 13))):
+                        n2 = int(rng.integers(0, 7))
+                        members.append(random_graph(rng, n2, **kinds))
+                        ts.append(transformation_from_forward(random_forward(rng, n, n2), n, n2))
+                    state = MedianState(median, ts, 0.0, 0)
+                    sets = collect_substitution_sets(state, members)
+                    vertex_sets, edge_sets = loop_substitution_sets(state, members)
+                    assert sets.vertex_sets == vertex_sets
+                    assert list(sets.edge_sets.items()) == list(edge_sets.items())
+                    if vertex_mode == "label":
+                        got = update_vertex_labels(median, sets, members)
+                        assert _identical(got, loop_vertex_labels(median, vertex_sets, members))
+                    else:
+                        got = update_vertex_vectors(median, sets, members)
+                        assert _identical(got, loop_vertex_vectors(median, vertex_sets, members))
+                    if edge_mode == "label":
+                        adjacency, attrs = update_edges_labeled(median, sets, members, model)
+                        want_adjacency, want_attrs = loop_edges_labeled(median, edge_sets, members, model)
+                        assert _identical(adjacency, want_adjacency)
+                        assert _identical(attrs, want_attrs)
+                    else:
+                        got = update_edges_unlabeled(median, sets, members, model)
+                        assert _identical(got, loop_edges_unlabeled(median, edge_sets, members, model))
+                    states += 1
+    assert states == 640
+
+
+# compute_median results recorded before the updates became array reductions:
+# seed, median vertex attributes, median edges, final SOD, trace of (sod_upper, changed)
+PINNED_MEDIANS = {
+    "label": (
+        66,
+        [1, 3, 2, 3],
+        [(0, 1, 1), (0, 2, 1), (0, 3, 2)],
+        69.0,
+        [(71.0, 0), (69.0, 2), (69.0, 0)],
+    ),
+    "vector": (
+        70,
+        [
+            [1.0495999999999999, 0.002599999999999991],
+            [0.5936666666666667, -0.7565000000000001],
+            [-0.10528571428571429, -0.9702857142857144],
+            [-0.47900000000000004, 0.6822857142857143],
+        ],
+        [(1, 2), (2, 3)],
+        99.06499951904763,
+        [
+            (112.283354, 0),
+            (102.47512279988662, 3),
+            (99.65663660000001, 1),
+            (99.06499951904763, 0),
+            (99.06499951904763, 0),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("vertex_mode", ["label", "vector"])
+def test_compute_median_pinned(vertex_mode):
+    seed, attrs, edges, sod, trace = PINNED_MEDIANS[vertex_mode]
+    edge_mode = "label" if vertex_mode == "label" else "none"
+    rng = np.random.default_rng(seed)
+    collection = [
+        random_graph(rng, order, vertex_mode=vertex_mode, edge_mode=edge_mode)
+        for order in (3, 5, 4, 6, 2, 5, 4)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        model = make_cost_model(vertex_mode, edge_mode)
+    result = compute_median(model, collection, DESCENT)
+    median = result.median
+    assert median.vertex_attrs.tolist() == attrs
+    labeled = median.edge_attrs is not None
+    got = [(i, j, int(median.edge_attrs[i, j])) if labeled else (i, j) for i, j in median.edge_list]
+    assert got == edges
+    assert result.sod == sod
+    assert [(r.sod_upper, r.changed) for r in result.trace] == trace
 
 
 def test_update_transformations_keeps_optimal_map():
