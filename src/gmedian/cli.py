@@ -37,17 +37,19 @@ from .solvers import METHODS, GedSolverConfig, solve_ged
 
 __all__ = ["main"]
 
+_SOLVER_DEFAULTS = GedSolverConfig()
+
 DEFAULTS = {
     "cost": {"c_vs": 1.0, "c_es": 1.0, "c_vr": 3.0, "c_vi": 3.0, "c_er": 3.0, "c_ei": 3.0},
     "ged": {
         "method": "mipfp",
         "phase1": "mbipartite",
         "phase2": "mipfp",
-        "multistart": 40,
+        "multistart": _SOLVER_DEFAULTS.multistart_count,
         "seed": 0,
-        "ipfp_max_iters": 50,
-        "ipfp_tol": 1e-6,
-        "exact_cap": 8,
+        "ipfp_max_iters": _SOLVER_DEFAULTS.ipfp_max_iters,
+        "ipfp_tol": _SOLVER_DEFAULTS.ipfp_tol,
+        "exact_cap": _SOLVER_DEFAULTS.exact_order_cap,
     },
     "data": {"node_kind": None, "node_attrs": None, "edge_kind": None, "edge_attr": None},
     "run": {
@@ -136,12 +138,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_type_ok(default, key: str, value) -> bool:
-    """Numbers where the default is a number; a string (or null where the default is null) otherwise."""
+    """Finite numbers where the default is a number; else a string (or null where the default is null)."""
     if key == "node_attrs":
         return value is None or (isinstance(value, list) and all(isinstance(v, str) for v in value))
     if default is None or isinstance(default, str):
         return isinstance(value, str) or (default is None and value is None)
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # NaN, and JSON numbers beyond the float range (1e400 parses as inf), fail the bound
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:

@@ -54,15 +54,20 @@ class ZeroCost:
     """Free substitution, for edges that carry no attributes."""
 
 
+def _check_constant(name: str, value: float) -> None:
+    if not 0 <= value <= sys.float_info.max:  # also false for NaN
+        raise CostModelError(f"{name} must be finite and non-negative, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Removal/insertion constants plus substitution cost functions.
 
-    Constants must be non-negative. A label substitution cost exceeding the
-    matching removal + insertion total is rejected: such a model never
-    prefers substitution and breaks the minimal-transformation reading of
-    the distance. Squared-distance vertex substitution cannot be bounded
-    statically and only triggers a RuntimeWarning.
+    Constants must be finite and non-negative. A label substitution cost
+    exceeding the matching removal + insertion total is rejected: such a
+    model never prefers substitution and breaks the minimal-transformation
+    reading of the distance. Squared-distance vertex substitution cannot be
+    bounded statically and only triggers a RuntimeWarning.
     """
 
     c_vr: float
@@ -74,11 +79,9 @@ class CostModel:
 
     def __post_init__(self) -> None:
         for name in ("c_vr", "c_vi", "c_er", "c_ei"):
-            if getattr(self, name) < 0:
-                raise CostModelError(f"{name} must be non-negative")
+            _check_constant(name, getattr(self, name))
         if isinstance(self.vertex_subst, LabelDelta):
-            if self.vertex_subst.cost < 0:
-                raise CostModelError("vertex substitution cost must be non-negative")
+            _check_constant("vertex substitution cost c_vs", self.vertex_subst.cost)
             if self.vertex_subst.cost > self.c_vr + self.c_vi:
                 raise CostModelError(
                     "vertex substitution cost exceeds removal + insertion"
@@ -95,8 +98,7 @@ class CostModel:
         else:
             raise CostModelError("unsupported vertex substitution function")
         if isinstance(self.edge_subst, LabelDelta):
-            if self.edge_subst.cost < 0:
-                raise CostModelError("edge substitution cost must be non-negative")
+            _check_constant("edge substitution cost c_es", self.edge_subst.cost)
             if self.edge_subst.cost > self.c_er + self.c_ei:
                 raise CostModelError("edge substitution cost exceeds removal + insertion")
         elif not isinstance(self.edge_subst, ZeroCost):

@@ -16,7 +16,11 @@ Every other method runs one pipeline per pair of graphs:
    ``qb = Q b`` is a row gather and one GEMM, O(B N^3) for the B = 2 + L
    edge terms. ``Q x`` is carried by linearity, ``Q x' = Q x + alpha (qb -
    Q x)``, and reset to ``qb`` on a full step (alpha = 1), which lands
-   exactly on b, so rounding does not accumulate across full steps;
+   exactly on b, so rounding does not accumulate across full steps. A
+   start stops once the linear gap or one step's decrease of the relaxed
+   objective is at most ``ipfp_tol`` times its value (Bougleux et al.
+   2017), or at ``ipfp_max_iters`` steps. A start that ends off a
+   permutation is projected back to one by one more LSAP;
 5. keep the cheapest map, ties to the lexicographically smaller one, and
    build its :class:`Transformation`.
 
@@ -26,6 +30,7 @@ reported value, so heuristic outputs are always valid upper bounds.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,12 +67,17 @@ class SolverError(ValueError):
 
 @dataclass(frozen=True)
 class GedSolverConfig:
-    """Method selection and tuning knobs shared by all solver entry points."""
+    """Method selection and tuning knobs shared by all solver entry points.
+
+    ``ipfp_tol`` is relative: an IPFP start stops once a step could lower,
+    or did lower, the relaxed objective by at most ``ipfp_tol`` times its
+    current value. ``ipfp_max_iters`` caps the steps per start.
+    """
 
     method: str = "mipfp"
     multistart_count: int = 40
     ipfp_max_iters: int = 50
-    ipfp_tol: float = 1e-6
+    ipfp_tol: float = 1e-4
     rng_seed: int = 0
     exact_order_cap: int = 8
 
@@ -78,6 +88,8 @@ class GedSolverConfig:
             raise SolverError("multistart_count must be at least 1")
         if self.ipfp_max_iters < 1:
             raise SolverError("ipfp_max_iters must be at least 1")
+        if not 0 <= self.ipfp_tol <= sys.float_info.max:  # also false for NaN
+            raise SolverError(f"ipfp_tol must be finite and non-negative, got {self.ipfp_tol!r}")
 
 
 @dataclass
@@ -314,6 +326,9 @@ def _ipfp_refine(
     best = form.scored(init_forward)
     x = form.start_matrix(init_forward)
     qx = form.apply_permutation(x.nonzero()[1])
+    # the relaxed objective at x, lowered by each step's exact decrease
+    f = float(np.vdot(form.linear, x) + 0.5 * np.vdot(x, qx))
+    alpha = 1.0
     for _ in range(max_iters):
         grad = form.linear + qx
         assignment, _ = lsap.solve_lsap(grad)
@@ -321,7 +336,7 @@ def _ipfp_refine(
         d = -x
         d[np.arange(form.N), assignment] += 1.0
         gap = float(np.vdot(grad, d))
-        if gap >= -tol:
+        if gap >= -tol * abs(f):
             break
         qb = form.apply_permutation(assignment)
         qd = qb - qx
@@ -330,6 +345,13 @@ def _ipfp_refine(
         x = x + alpha * d
         # a full step lands exactly on the permutation, so its product resets any drift
         qx = qb if alpha == 1.0 else qx + alpha * qd
+        drop = -(alpha * gap + 0.5 * alpha**2 * curvature)
+        if drop <= tol * abs(f):
+            break
+        f -= drop
+    if alpha == 1.0:
+        # x is the start or the last LSAP's permutation, whose map is already in best
+        return best
     assignment, _ = lsap.solve_lsap(-x)
     return min(best, form.scored(form.forward_of(assignment)))
 
@@ -346,9 +368,12 @@ def ged_ipfp(
     Each step solves a linear assignment on the gradient at the current
     relaxed point, takes the best step towards it (exact line search on the
     quadratic), and remembers the best discrete map seen, the initial one
-    included; termination projects the relaxed point back to a
-    transformation with one more assignment solve. The returned cost is
-    therefore never worse than the cost of ``init``.
+    included. It stops once the gap to that assignment, or the decrease of
+    one step, is at most ``config.ipfp_tol`` times the relaxed objective,
+    or after ``config.ipfp_max_iters`` steps; a relaxed point that is not a
+    permutation is then projected back to a transformation with one more
+    assignment solve. The returned cost is therefore never worse than the
+    cost of ``init``.
     """
     check_model_compatible(model, g)
     check_model_compatible(model, g2)

@@ -107,6 +107,22 @@ def test_cost_guard_is_usage_error(graph_files, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, name", [("c_er=nan", "c_er"), ("c_er=inf", "c_er"), ("c_vs=nan", "c_vs")])
+def test_non_finite_cost_constant_is_usage_error(spec, name, graph_files, capsys):
+    a, b = graph_files
+    assert main(["ged", a, b, "--cost", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{name} must be finite" in err
+
+
+def test_ipfp_tol_from_config_is_validated(graph_files, tmp_path, capsys):
+    a, b = graph_files
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ged": {"ipfp_tol": -1}}))
+    assert main(["ged", a, b, "--config", str(cfg)]) == 1
+    assert "ipfp_tol" in capsys.readouterr().err
+
+
 def test_median_writes_deterministic_file(dataset, tmp_path, capsys):
     out1 = tmp_path / "m1.gmg"
     out2 = tmp_path / "m2.gmg"
@@ -216,6 +232,24 @@ def test_config_value_of_wrong_type(command, section, key, value, graph_files, d
     assert main([command, *inputs, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{section}.{key}" in err
+
+
+@pytest.mark.parametrize(
+    "section, key, literal",
+    [
+        ("ged", "multistart", "1e400"),
+        ("ged", "ipfp_tol", "-1e400"),
+        ("cost", "c_er", "NaN"),
+        ("ged", "seed", "1" + "0" * 400),
+    ],
+    ids=["float-overflow", "negative-overflow", "nan", "integer-beyond-float"],
+)
+def test_config_number_beyond_float_range(section, key, literal, graph_files, tmp_path, capsys):
+    a, _ = graph_files
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{section}": {{"{key}": {literal}}}}}')
+    assert main(["ged", a, a, "--config", str(cfg)]) == 1
+    assert f"config key {section}.{key} has the wrong type" in capsys.readouterr().err
 
 
 def test_ged_reads_both_gxl_files_with_one_label_codec(tmp_path, capsys):

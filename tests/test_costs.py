@@ -172,6 +172,20 @@ def test_check_model_compatible():
         check_model_compatible(model, build_graph(2, [1, 2], [(0, 1)]))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("name", ["c_vr", "c_vi", "c_er", "c_ei", "c_vs", "c_es"])
+def test_non_finite_constants_are_rejected_by_name(name, value):
+    with pytest.raises(CostModelError, match=f"{name} must be finite"):
+        make_cost_model(**{name: value})
+
+
+def test_non_finite_substitution_costs_are_rejected_on_direct_construction():
+    with pytest.raises(CostModelError, match="vertex substitution cost"):
+        CostModel(1.0, 1.0, 1.0, 1.0, LabelDelta(float("nan")), ZeroCost())
+    with pytest.raises(CostModelError, match="edge substitution cost"):
+        CostModel(1.0, 1.0, 1.0, 1.0, LabelDelta(0.5), LabelDelta(float("nan")))
+
+
 def test_cost_model_requires_known_modes():
     with pytest.raises(CostModelError):
         make_cost_model(vertex_mode="bogus")

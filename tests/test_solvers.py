@@ -156,15 +156,38 @@ def test_ipfp_takes_one_permutation_product_per_step(monkeypatch):
     monkeypatch.setattr(_QapForm, "apply_permutation", counted("product", _QapForm.apply_permutation))
     monkeypatch.setattr(solvers.lsap, "solve_lsap", counted("lsap", solvers.lsap.solve_lsap))
     model, pairs = _pinned_pairs("label")
-    # every start of this pair stops on the gap before the iteration cap
+    # every start of this pair stops on the gap before the iteration cap; 5 of the 7 end off a vertex
     g, g2 = pairs[2]
     r = solve_ged(model, g, g2, GedSolverConfig(method="mipfp", multistart_count=6, rng_seed=5))
     assert (r.cost, tuple(r.transformation.forward.tolist())) == PINNED["label", "mipfp"][2][:2]
-    starts = 1 + 6
-    # one LSAP for the bipartite start; per start, one per step, one finding no descent, one projection
-    steps = calls["lsap"] - 1 - 2 * starts
+    starts, off_vertex = 1 + 6, 5
+    # one LSAP for the bipartite start; per start, one per step and one finding no descent;
+    # a projection only for a start that ends off a vertex
+    steps = calls["lsap"] - 1 - starts - off_vertex
     assert calls["product"] == starts + steps
-    assert calls == {"product": 29, "lsap": 37}
+    assert calls == {"product": 29, "lsap": 35}
+
+
+def test_ipfp_stops_before_the_cap(monkeypatch):
+    products = [0]
+    apply_permutation = _QapForm.apply_permutation
+
+    def counted(form, assignment):
+        products[0] += 1
+        return apply_permutation(form, assignment)
+
+    monkeypatch.setattr(_QapForm, "apply_permutation", counted)
+    model, pairs = _pinned_pairs("label")
+    for (g, g2), pinned, expected in zip(pairs, PINNED["label", "mipfp"], (64, 148)):
+        counts = []
+        for cap in (50, 100_000):
+            products[0] = 0
+            config = GedSolverConfig(method="mipfp", multistart_count=6, rng_seed=5, ipfp_max_iters=cap)
+            r = solve_ged(model, g, g2, config)
+            assert (r.cost, tuple(r.transformation.forward.tolist())) == pinned[:2]
+            counts.append(products[0])
+        # the relative stop ends every start before either cap
+        assert counts == [expected, expected]
 
 
 def test_mipfp_order_50_runs_in_bounded_memory():
@@ -287,6 +310,12 @@ def test_solver_config_validation():
         GedSolverConfig(multistart_count=0)
     with pytest.raises(SolverError):
         GedSolverConfig(ipfp_max_iters=0)
+
+
+@pytest.mark.parametrize("tol", [-1e-4, float("nan"), float("inf")])
+def test_solver_config_rejects_unusable_ipfp_tol(tol):
+    with pytest.raises(SolverError, match="ipfp_tol"):
+        GedSolverConfig(ipfp_tol=tol)
 
 
 def test_empty_graph_pairs():
