@@ -138,14 +138,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_type_ok(default, key: str, value) -> bool:
-    """Finite numbers where the default is a number; else a string (or null where the default is null)."""
+    """Integers where the default is an int, finite numbers where it is a float; else a string
+    (or null where the default is null)."""
     if key == "node_attrs":
         return value is None or (isinstance(value, list) and all(isinstance(v, str) for v in value))
     if default is None or isinstance(default, str):
         return isinstance(value, str) or (default is None and value is None)
+    # an int setting refuses 2.7 rather than truncate it to 2
+    kinds = int if isinstance(default, int) else (int, float)
     # NaN, and JSON numbers beyond the float range (1e400 parses as inf), fail the bound
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return number and abs(value) <= sys.float_info.max
+    return isinstance(value, kinds) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:

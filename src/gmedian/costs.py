@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import LABEL, NO_EDGE_ATTRS, VECTOR, AttributedGraph, Transformation, _kept_edges
+from .graphs import LABEL, NO_EDGE_ATTRS, VECTOR, AttributedGraph, Transformation, _kept_edges, _projected
 
 __all__ = [
     "CostModelError",
@@ -25,7 +25,6 @@ __all__ = [
     "CostModel",
     "make_cost_model",
     "check_model_compatible",
-    "vertex_subst_cost",
     "vertex_cost",
     "edge_cost",
     "forward_cost",
@@ -153,20 +152,6 @@ def check_model_compatible(model: CostModel, g: AttributedGraph) -> None:
         )
 
 
-def vertex_subst_cost(model: CostModel, a, b) -> float:
-    """Substitution cost between two vertex attributes."""
-    if isinstance(model.vertex_subst, LabelDelta):
-        if np.ndim(a) != 0 or np.ndim(b) != 0:
-            raise CostModelError("label substitution applied to vector attributes")
-        return model.vertex_subst.cost if a != b else 0.0
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise CostModelError("vector substitution needs two equal-length vectors")
-    d = a - b
-    return float(d @ d)
-
-
 def _vertex_subst_matrix(model: CostModel, phi: np.ndarray, phi2: np.ndarray) -> np.ndarray:
     """Substitution costs between every vertex of one graph and every vertex of another."""
     n, n2 = len(phi), len(phi2)
@@ -210,6 +195,33 @@ def forward_cost(model: CostModel, forward: np.ndarray, g: AttributedGraph, g2: 
     """
     f = np.asarray(forward, dtype=np.int64)
     return _vertex_term(model, f, g.vertex_attrs, g2.vertex_attrs) + _edge_term(model, f, g, g2)
+
+
+def _forward_costs(model: CostModel, forward: np.ndarray, g: AttributedGraph, g2: AttributedGraph) -> np.ndarray:
+    """:func:`forward_cost` of every map of the (K, n) stack ``forward``.
+
+    Each term is formed in :func:`forward_cost`'s order of operations, so
+    under label costs every entry equals the per-map cost bit for bit.
+    """
+    n, n2 = g.order, g2.order
+    # column n2, the image of a removed vertex, costs nothing here
+    subst = np.zeros((n, n2 + 1))
+    subst[:, :n2] = _vertex_subst_matrix(model, g.vertex_attrs, g2.vertex_attrs)
+    picked = subst[np.arange(n), forward]
+    if isinstance(model.vertex_subst, LabelDelta):
+        # mismatches counted, then scaled, as forward_cost does
+        vertex = model.vertex_subst.cost * np.count_nonzero(picked, axis=-1)
+    else:
+        vertex = picked.sum(axis=-1)
+    n_sub = np.count_nonzero(forward < n2, axis=-1)
+    vertex = vertex + model.c_vr * (n - n_sub) + model.c_vi * (n2 - n_sub)
+    kept_edges = _kept_edges(g.adjacency, g2.adjacency, forward)
+    kept = np.count_nonzero(kept_edges, axis=(-2, -1)) // 2
+    edge = model.c_er * (g.n_edges - kept) + model.c_ei * (g2.n_edges - kept)
+    if isinstance(model.edge_subst, LabelDelta):
+        relabelled = kept_edges & (g.edge_attrs != _projected(g2.edge_attrs, forward))
+        edge = edge + model.edge_subst.cost * (np.count_nonzero(relabelled, axis=(-2, -1)) // 2)
+    return vertex + edge
 
 
 def vertex_cost(model: CostModel, t: Transformation, phi: np.ndarray, phi2: np.ndarray) -> float:

@@ -271,11 +271,14 @@ def identity_transformation(order: int) -> Transformation:
 
 
 def _projected(a2: np.ndarray, forward: np.ndarray) -> np.ndarray:
-    """``a2[forward][:, forward]``, where index ``len(a2)``, the image of a removed vertex, reads 0."""
+    """``a2[forward][:, forward]`` per map of a stack ``forward`` of shape (..., n).
+
+    Index ``len(a2)``, the image of a removed vertex, reads 0.
+    """
     n2 = a2.shape[0]
     a2pad = np.zeros((n2 + 1, n2 + 1), dtype=a2.dtype)
     a2pad[:n2, :n2] = a2
-    return a2pad[forward][:, forward]
+    return a2pad[forward[..., :, None], forward[..., None, :]]
 
 
 def _kept_edges(a: np.ndarray, a2: np.ndarray, forward: np.ndarray) -> np.ndarray:

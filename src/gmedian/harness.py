@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 import time
 from dataclasses import dataclass, replace
 
@@ -53,8 +54,8 @@ class ExperimentConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.per_class_sample <= 0:
-            raise HarnessError("per_class_sample must be positive")
+        if not 0 < self.per_class_sample <= sys.float_info.max:  # also false for NaN
+            raise HarnessError(f"per_class_sample must be finite and positive, got {self.per_class_sample!r}")
         if self.repeats < 1:
             raise HarnessError("repeats must be at least 1")
 

@@ -1,6 +1,8 @@
 """Edit-distance solvers between two attributed graphs.
 
-:func:`ged_exact` enumerates every transformation, exact but exponential.
+:func:`ged_exact` enumerates every transformation, exact but exponential:
+stacks of maps are scored by the cost rule that :func:`costs.forward_cost`
+applies to one map, and ties go to the lexicographically smallest map.
 Every other method runs one pipeline per pair of graphs:
 
 1. build the quadratic form of the edit cost over the augmented assignment
@@ -30,6 +32,7 @@ reported value, so heuristic outputs are always valid upper bounds.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,6 +43,7 @@ from . import lsap
 from .costs import (
     CostModel,
     LabelDelta,
+    _forward_costs,
     _vertex_subst_matrix,
     check_model_compatible,
     forward_cost,
@@ -101,14 +105,20 @@ class GedResult:
     is_exact: bool
 
 
+_EXACT_STACK = 4096  # maps scored per array pass; bounds memory whatever the order cap
+
+
 def ged_exact(
     model: CostModel, g: AttributedGraph, g2: AttributedGraph, order_cap: int = 8
 ) -> GedResult:
     """Exact edit distance by full enumeration of transformations.
 
     Enumeration is exponential; graphs larger than ``order_cap`` are
-    rejected. Among cost ties the lexicographically smallest forward map
-    wins (maps are visited in lexicographic order).
+    rejected. For each number k of substitutions and each k-subset of
+    source vertices, the images run through every k-permutation of target
+    vertices in lexicographic order, scored in stacks of at most
+    ``_EXACT_STACK`` maps by the shared cost rule. Among cost ties the
+    lexicographically smallest forward map wins.
     """
     if max(g.order, g2.order) > order_cap:
         raise SolverError(
@@ -117,79 +127,18 @@ def ged_exact(
     check_model_compatible(model, g)
     check_model_compatible(model, g2)
     n, n2 = g.order, g2.order
-    label_vertices = isinstance(model.vertex_subst, LabelDelta)
-    label_edges = isinstance(model.edge_subst, LabelDelta)
-    cvs = model.vertex_subst.cost if label_vertices else 0.0
-    ces = model.edge_subst.cost if label_edges else 0.0
-    cvr, cvi, cer, cei = model.c_vr, model.c_vi, model.c_er, model.c_ei
-    # labels as Python ints, vectors as row arrays
-    phi = g.vertex_attrs.tolist() if label_vertices else list(g.vertex_attrs)
-    phi2 = g2.vertex_attrs.tolist() if label_vertices else list(g2.vertex_attrs)
-    a = g.adjacency.tolist()
-    a2 = g2.adjacency.tolist()
-    ea = g.edge_attrs.tolist() if g.edge_attrs is not None else None
-    ea2 = g2.edge_attrs.tolist() if g2.edge_attrs is not None else None
-    edges1 = g.edge_list
-    edges2 = g2.edge_list
-
-    forward = [n2] * n
-    inv = [-1] * n2
-    best_cost = np.inf
-    best_forward: tuple[int, ...] | None = None
-
-    def leaf_cost() -> float:
-        cv = 0.0
-        n_sub = 0
-        for i in range(n):
-            v = forward[i]
-            if v < n2:
-                n_sub += 1
-                if label_vertices:
-                    if phi[i] != phi2[v]:
-                        cv += cvs
-                else:
-                    d = phi[i] - phi2[v]
-                    cv += float(d @ d)
-            else:
-                cv += cvr
-        cv += cvi * (n2 - n_sub)
-        ce = 0.0
-        for i, j in edges1:
-            fi, fj = forward[i], forward[j]
-            if fi < n2 and fj < n2 and a2[fi][fj]:
-                if label_edges and ea[i][j] != ea2[fi][fj]:
-                    ce += ces
-            else:
-                ce += cer
-        for k, l in edges2:
-            rk, rl = inv[k], inv[l]
-            if not (rk >= 0 and rl >= 0 and a[rk][rl]):
-                ce += cei
-        return cv + ce
-
-    def scan(i: int) -> None:
-        nonlocal best_cost, best_forward
-        if i == n:
-            c = leaf_cost()
-            if c < best_cost:
-                best_cost = c
-                best_forward = tuple(forward)
-            return
-        for v in range(n2 + 1):
-            if v < n2:
-                if inv[v] >= 0:
-                    continue
-                forward[i] = v
-                inv[v] = i
-                scan(i + 1)
-                inv[v] = -1
-            else:
-                forward[i] = v
-                scan(i + 1)
-
-    scan(0)
-    assert best_forward is not None
-    f = np.asarray(best_forward, dtype=np.int64)
+    best: tuple[float, tuple[int, ...]] = (np.inf, ())
+    for k in range(min(n, n2) + 1):
+        for sources in itertools.combinations(range(n), k):
+            images = itertools.permutations(range(n2), k)
+            while stack := list(itertools.islice(images, _EXACT_STACK)):
+                forward = np.full((len(stack), n), n2, dtype=np.int64)
+                forward[:, list(sources)] = stack
+                costs = _forward_costs(model, forward, g, g2)
+                # the stack is in lexicographic order, so argmin takes the smallest tied map
+                i = int(np.argmin(costs))
+                best = min(best, (float(costs[i]), tuple(forward[i].tolist())))
+    f = np.asarray(best[1], dtype=np.int64)
     return GedResult(transformation_from_forward(f, n, n2), forward_cost(model, f, g, g2), True)
 
 
@@ -413,8 +362,9 @@ def _solve(
     form = _QapForm(model, g, g2)
     starts = [_bipartite_forward(form)]
     if random_starts:
+        # drawn one at a time as they are refined, so memory does not grow with the count
         rng = np.random.default_rng(config.rng_seed)
-        starts += [_random_maximal_forward(rng, n, n2) for _ in range(random_starts)]
+        starts = itertools.chain(starts, (_random_maximal_forward(rng, n, n2) for _ in range(random_starts)))
     refine = config.method in ("ipfp", "mipfp")
     if refine:
         cost, forward = min(_ipfp_refine(form, f, config.ipfp_max_iters, config.ipfp_tol) for f in starts)

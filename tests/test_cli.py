@@ -223,7 +223,13 @@ def test_gxl_input_for_ged(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, section, key, value",
-    [("median", "cost", "c_vs", None), ("classify", "run", "sample", None), ("ged", "cost", "c_vr", "x")],
+    [
+        ("median", "cost", "c_vs", None),
+        ("classify", "run", "sample", None),
+        ("ged", "cost", "c_vr", "x"),
+        ("ged", "ged", "multistart", 2.7),
+        ("ged", "ged", "ipfp_max_iters", 1.9),
+    ],
 )
 def test_config_value_of_wrong_type(command, section, key, value, graph_files, dataset, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -232,6 +238,7 @@ def test_config_value_of_wrong_type(command, section, key, value, graph_files, d
     assert main([command, *inputs, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{section}.{key}" in err
+    assert err.strip().endswith(f"has the wrong type: {json.dumps(value)}")
 
 
 @pytest.mark.parametrize(
@@ -250,6 +257,13 @@ def test_config_number_beyond_float_range(section, key, literal, graph_files, tm
     cfg.write_text(f'{{"{section}": {{"{key}": {literal}}}}}')
     assert main(["ged", a, a, "--config", str(cfg)]) == 1
     assert f"config key {section}.{key} has the wrong type" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_sample_is_usage_error(value, dataset, capsys):
+    assert main(["classify", "--dataset", dataset, "--sample", value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "per_class_sample must be finite" in err
 
 
 def test_ged_reads_both_gxl_files_with_one_label_codec(tmp_path, capsys):

@@ -16,7 +16,7 @@ from gmedian import (
     transformation_from_forward,
     vertex_cost,
 )
-from gmedian.costs import check_model_compatible, forward_cost, vertex_subst_cost
+from gmedian.costs import check_model_compatible, forward_cost
 
 from oracles import (
     direct_edge_cost,
@@ -152,15 +152,6 @@ def test_unattributed_edge_substitution_is_free():
     t = transformation_from_forward([0, 1], 2, 2)
     model = make_cost_model(edge_mode="none")
     assert transformation_cost(model, t, g, g2) == 0.0
-
-
-def test_vertex_subst_cost_dispatch():
-    model = make_cost_model()
-    assert vertex_subst_cost(model, 1, 1) == 0.0
-    assert vertex_subst_cost(model, 1, 2) == 1.0
-    with pytest.warns(RuntimeWarning):
-        vec = make_cost_model(vertex_mode="vector")
-    assert vertex_subst_cost(vec, np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 5.0
 
 
 def test_check_model_compatible():

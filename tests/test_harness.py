@@ -65,6 +65,12 @@ def test_experiment_config_validation():
         ExperimentConfig(model=make_cost_model(), repeats=0)
 
 
+@pytest.mark.parametrize("sample", [float("inf"), float("nan")])
+def test_non_finite_sample_is_rejected(sample):
+    with pytest.raises(HarnessError, match="per_class_sample must be finite"):
+        ExperimentConfig(model=make_cost_model(), per_class_sample=sample)
+
+
 def test_sod_experiment_rows_and_bound():
     dataset = separated_dataset()
     config = ExperimentConfig(

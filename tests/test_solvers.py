@@ -21,9 +21,11 @@ from gmedian import (
     transformation_from_forward,
 )
 from gmedian import solvers
+from gmedian.costs import forward_cost
 from gmedian.solvers import _incident_edge_matrix, _QapForm, _random_maximal_forward
 
 from oracles import (
+    all_forwards,
     brute_lsap,
     dense_quad,
     direct_transformation_cost,
@@ -62,6 +64,37 @@ def test_exact_matches_oracle_random():
         expected_cost, expected_forward = oracle_ged(model, g, g2)
         assert result.cost == pytest.approx(expected_cost)
         assert tuple(result.transformation.forward.tolist()) == expected_forward
+
+
+def test_exact_ranks_maps_by_forward_cost():
+    # constants with no exact binary form: summing them in another order moves costs by an ulp
+    model = make_cost_model(c_vs=0.1, c_es=0.1, c_vr=0.3, c_vi=0.2, c_er=0.3, c_ei=0.7)
+    rng = np.random.default_rng(0)
+    for _ in range(150):
+        n, n2 = int(rng.integers(0, 5)), int(rng.integers(0, 5))
+        g = random_graph(rng, n)
+        g2 = random_graph(rng, n2)
+        result = ged_exact(model, g, g2)
+        expected = min(
+            (forward_cost(model, np.asarray(f, dtype=np.int64), g, g2), tuple(f)) for f in all_forwards(n, n2)
+        )
+        assert (result.cost, tuple(result.transformation.forward.tolist())) == expected
+
+
+def test_exact_runs_in_bounded_memory():
+    rng = np.random.default_rng(29)
+    g = random_graph(rng, 7)
+    g2 = random_graph(rng, 7)
+    model = make_cost_model()
+    tracemalloc.start()
+    try:
+        result = ged_exact(model, g, g2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 130,922 maps of order 7 scored in one pass would take over 50 MB
+    assert peak < 8 * 2**20
+    assert result.cost == pytest.approx(direct_transformation_cost(model, result.transformation, g, g2))
 
 
 def test_exact_self_distance_is_zero():
@@ -205,6 +238,22 @@ def test_mipfp_order_50_runs_in_bounded_memory():
     assert peak < 50 * 2**20
     assert result.cost <= ged_bipartite(model, g, g2).cost
     assert result.cost == pytest.approx(direct_transformation_cost(model, result.transformation, g, g2))
+
+
+def test_random_starts_are_drawn_as_they_are_used():
+    rng = np.random.default_rng(28)
+    g = random_graph(rng, 3)
+    g2 = random_graph(rng, 3)
+    model = make_cost_model()
+    tracemalloc.start()
+    try:
+        result = solve_ged(model, g, g2, GedSolverConfig(method="mbipartite", multistart_count=20_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a list of every start would hold about 150 B per start
+    assert peak < 2**20
+    assert result.cost == ged_exact(model, g, g2).cost
 
 
 def test_bipartite_upper_bound(pair):
