@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import LABEL, NO_EDGE_ATTRS, VECTOR, AttributedGraph, Transformation, _kept_edges, _projected
+from .graphs import (
+    LABEL, NO_EDGE_ATTRS, VECTOR, AttributedGraph, GraphError, Transformation, _kept_edges, _projected,
+)
 
 __all__ = [
     "CostModelError",
@@ -161,8 +163,13 @@ def _vertex_subst_matrix(model: CostModel, phi: np.ndarray, phi2: np.ndarray) ->
         return model.vertex_subst.cost * (phi[:, None] != phi2[None, :])
     if phi.shape[1] != phi2.shape[1]:
         raise CostModelError("vector substitution needs two equal-length vectors")
-    diff = phi[:, None, :] - phi2[None, :, :]
-    return (diff * diff).sum(axis=2)
+    with np.errstate(over="ignore"):
+        diff = phi[:, None, :] - phi2[None, :, :]
+        dist = (diff * diff).sum(axis=2)
+    if not np.isfinite(dist).all():  # finite coordinates can still overflow
+        i, k = np.argwhere(~np.isfinite(dist))[0]
+        raise GraphError(f"squared distance between vertex vectors {phi[i].tolist()} and {phi2[k].tolist()} overflows")
+    return dist
 
 
 def _vertex_term(model: CostModel, f: np.ndarray, phi: np.ndarray, phi2: np.ndarray) -> float:

@@ -382,6 +382,8 @@ def read_graph(text: str, graph_id: str = "") -> AttributedGraph:
     vmode, emode = header[3], header[4]
     if vmode not in (LABEL, VECTOR) or emode not in (LABEL, NO_EDGE_ATTRS):
         raise DatasetError(f"unknown modes {vmode!r}/{emode!r}")
+    if order < 0:
+        raise DatasetError(f"negative order {order} in header {lines[0]!r}")
     if order > len(lines) - 1:  # every vertex needs a line; checked before allocating
         raise DatasetError(f"missing vertex lines: order {order} but {len(lines) - 1} lines follow")
     attrs: list = [None] * order

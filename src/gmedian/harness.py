@@ -44,7 +44,7 @@ class ExperimentConfig:
     """Sampling plan plus the descent configuration to run per class.
 
     ``per_class_sample`` below 1.0 is a fraction of each class (rounded,
-    at least one graph); 1.0 and above is an absolute count.
+    at least one graph); 1.0 and above is an absolute count, a whole number.
     """
 
     model: CostModel
@@ -56,6 +56,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not 0 < self.per_class_sample <= sys.float_info.max:  # also false for NaN
             raise HarnessError(f"per_class_sample must be finite and positive, got {self.per_class_sample!r}")
+        if self.per_class_sample >= 1.0 and self.per_class_sample != int(self.per_class_sample):
+            raise HarnessError(f"per_class_sample of 1 or more must be a whole count, got {self.per_class_sample!r}")
         if self.repeats < 1:
             raise HarnessError("repeats must be at least 1")
 

@@ -22,9 +22,12 @@ Every other method runs one pipeline per pair of graphs:
    start stops once the linear gap or one step's decrease of the relaxed
    objective is at most ``ipfp_tol`` times its value (Bougleux et al.
    2017), or at ``ipfp_max_iters`` steps. A start that ends off a
-   permutation is projected back to one by one more LSAP;
+   permutation is projected back to one by one more LSAP. Every map
+   visited is yielded, with its relaxed value where a product gives it;
 5. keep the cheapest map, ties to the lexicographically smaller one, and
-   build its :class:`Transformation`.
+   build its :class:`Transformation`. A relaxed value is its map's cost up
+   to rounding, so :func:`costs.forward_cost` prices only maps whose value
+   is within ``_SCREEN_MARGIN`` of the best so far: no other can win.
 
 Every result carries a concrete transformation whose true cost is the
 reported value, so heuristic outputs are always valid upper bounds.
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -106,6 +110,7 @@ class GedResult:
 
 
 _EXACT_STACK = 4096  # maps scored per array pass; bounds memory whatever the order cap
+_SCREEN_MARGIN = 1e-9  # relative; a relaxed value this far above the best cost is no rounding error
 
 
 def ged_exact(
@@ -210,7 +215,6 @@ class _QapForm:
             np.full(n, model.c_vr),
             np.full(n2, model.c_vi),
         )
-        self._scores: dict[bytes, tuple[float, tuple[int, ...]]] = {}
 
     @cached_property
     def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -260,34 +264,38 @@ class _QapForm:
     def forward_of(self, assignment: np.ndarray) -> np.ndarray:
         return np.minimum(assignment[: self.n], self.n2)
 
-    def scored(self, forward: np.ndarray) -> tuple[float, tuple[int, ...]]:
-        """(true cost, forward tuple), cached per map: ``min`` picks the cheapest, ties to the smaller map."""
-        key = forward.tobytes()
-        if key not in self._scores:
-            self._scores[key] = forward_cost(self.model, forward, self.g, self.g2), tuple(forward.tolist())
-        return self._scores[key]
+    def cheapest(self, visited: Iterable[tuple[np.ndarray, float | None]]) -> tuple[float, tuple[int, ...]]:
+        """(true cost, forward tuple) of the cheapest of (forward, relaxed value or None), ties to the smaller map."""
+        best: tuple[float, tuple[int, ...] | None] = (np.inf, None)
+        for forward, value in visited:
+            key = tuple(forward.tolist())
+            if key != best[1] and (value is None or value <= best[0] + _SCREEN_MARGIN * max(1.0, abs(best[0]))):
+                scored = (forward_cost(self.model, forward, self.g, self.g2), key)
+                best = scored if best[1] is None else min(best, scored)
+        return best
 
 
 def _ipfp_refine(
-    form: _QapForm, init_forward: np.ndarray, max_iters: int, tol: float
-) -> tuple[float, tuple[int, ...]]:
-    """Run the refinement from one initial map; returns the best discrete point."""
-    best = form.scored(init_forward)
+    form: _QapForm, init_forward: np.ndarray, config: GedSolverConfig
+) -> Iterator[tuple[np.ndarray, float | None]]:
+    """Run the refinement from one initial map; yields every map it visits with its relaxed value."""
     x = form.start_matrix(init_forward)
     qx = form.apply_permutation(x.nonzero()[1])
     # the relaxed objective at x, lowered by each step's exact decrease
     f = float(np.vdot(form.linear, x) + 0.5 * np.vdot(x, qx))
+    yield init_forward, f
     alpha = 1.0
-    for _ in range(max_iters):
+    for _ in range(config.ipfp_max_iters):
         grad = form.linear + qx
         assignment, _ = lsap.solve_lsap(grad)
-        best = min(best, form.scored(form.forward_of(assignment)))
-        d = -x
-        d[np.arange(form.N), assignment] += 1.0
+        b = np.eye(form.N)[assignment]
+        d = b - x
         gap = float(np.vdot(grad, d))
-        if gap >= -tol * abs(f):
+        if gap >= -config.ipfp_tol * abs(f):
+            yield form.forward_of(assignment), None
             break
         qb = form.apply_permutation(assignment)
+        yield form.forward_of(assignment), float(np.vdot(form.linear, b) + 0.5 * np.vdot(b, qb))
         qd = qb - qx
         curvature = float(np.vdot(d, qd))
         alpha = 1.0 if curvature <= 0 else min(1.0, -gap / curvature)
@@ -295,14 +303,11 @@ def _ipfp_refine(
         # a full step lands exactly on the permutation, so its product resets any drift
         qx = qb if alpha == 1.0 else qx + alpha * qd
         drop = -(alpha * gap + 0.5 * alpha**2 * curvature)
-        if drop <= tol * abs(f):
+        if drop <= config.ipfp_tol * abs(f):
             break
         f -= drop
-    if alpha == 1.0:
-        # x is the start or the last LSAP's permutation, whose map is already in best
-        return best
-    assignment, _ = lsap.solve_lsap(-x)
-    return min(best, form.scored(form.forward_of(assignment)))
+    if alpha != 1.0:  # else x is the start or the last LSAP's permutation, already yielded
+        yield form.forward_of(lsap.solve_lsap(-x)[0]), None
 
 
 def ged_ipfp(
@@ -329,7 +334,7 @@ def ged_ipfp(
     if init.source_order != g.order or init.target_order != g2.order:
         raise SolverError("initial transformation does not match the graph orders")
     form = _QapForm(model, g, g2)
-    cost, forward = _ipfp_refine(form, init.forward, config.ipfp_max_iters, config.ipfp_tol)
+    cost, forward = form.cheapest(_ipfp_refine(form, init.forward, config))
     return GedResult(transformation_from_forward(forward, g.order, g2.order), cost, False)
 
 
@@ -366,10 +371,8 @@ def _solve(
         rng = np.random.default_rng(config.rng_seed)
         starts = itertools.chain(starts, (_random_maximal_forward(rng, n, n2) for _ in range(random_starts)))
     refine = config.method in ("ipfp", "mipfp")
-    if refine:
-        cost, forward = min(_ipfp_refine(form, f, config.ipfp_max_iters, config.ipfp_tol) for f in starts)
-    else:
-        cost, forward = min(form.scored(f) for f in starts)
+    visited = (_ipfp_refine(form, f, config) if refine else [(f, None)] for f in starts)
+    cost, forward = form.cheapest(itertools.chain.from_iterable(visited))
     # the plain bipartite bound between two empty graphs is their one map
     exact = n + n2 == 0 and not refine and not random_starts
     return GedResult(transformation_from_forward(forward, n, n2), cost, exact)

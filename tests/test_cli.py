@@ -266,6 +266,24 @@ def test_non_finite_sample_is_usage_error(value, dataset, capsys):
     assert err.startswith("error:") and "per_class_sample must be finite" in err
 
 
+def test_fractional_sample_count_is_usage_error(dataset, capsys):
+    assert main(["classify", "--dataset", dataset, "--sample", "2.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be a whole count, got 2.5" in err
+
+
+@pytest.mark.parametrize("method", ["exact", "bipartite", "ipfp", "mbipartite", "mipfp"])
+def test_overflowing_vector_distance_is_data_error(method, tmp_path, capsys):
+    # finite coordinates whose squared distance, 4e400, is beyond float64
+    a, b = tmp_path / "a.gmg", tmp_path / "b.gmg"
+    a.write_text("gmg 1 2 vector none\nv 0 1e200 0\nv 1 0 0\n")
+    b.write_text("gmg 1 2 vector none\nv 0 -1e200 0\nv 1 0 0\n")
+    with pytest.warns(RuntimeWarning, match="unbounded"):
+        assert main(["ged", str(a), str(b), "--method", method]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: squared distance between vertex vectors [1e+200, 0.0] and [-1e+200, 0.0]")
+
+
 def test_ged_reads_both_gxl_files_with_one_label_codec(tmp_path, capsys):
     for name, label in (("c", "C"), ("o", "O")):
         node = f'<node id="n0"><attr name="chem"><string>{label}</string></attr></node>'

@@ -71,6 +71,17 @@ def test_non_finite_sample_is_rejected(sample):
         ExperimentConfig(model=make_cost_model(), per_class_sample=sample)
 
 
+@pytest.mark.parametrize("sample", [2.5, 1.5, 10.000001])
+def test_fractional_sample_count_is_rejected(sample):
+    with pytest.raises(HarnessError, match=f"whole count, got {sample!r}"):
+        ExperimentConfig(model=make_cost_model(), per_class_sample=sample)
+
+
+def test_whole_sample_count_given_as_float_is_accepted():
+    assert ExperimentConfig(model=make_cost_model(), per_class_sample=3.0).sample_size(10) == 3
+    assert ExperimentConfig(model=make_cost_model(), per_class_sample=1.0).sample_size(10) == 1
+
+
 def test_sod_experiment_rows_and_bound():
     dataset = separated_dataset()
     config = ExperimentConfig(

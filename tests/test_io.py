@@ -107,6 +107,12 @@ def test_read_graph_errors():
         read_graph("gmg 1 1 vector none\nv 0 nan 1.0\n")
 
 
+@pytest.mark.parametrize("text", ["gmg 1 -1 label none\n", "gmg 1 -2 vector none\nv 0 1.0\n"])
+def test_read_graph_rejects_negative_order(text):
+    with pytest.raises(DatasetError, match="negative order"):
+        read_graph(text)
+
+
 def test_read_graph_huge_order_allocates_nothing():
     tracemalloc.start()
     try:

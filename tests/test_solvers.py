@@ -134,8 +134,6 @@ def test_quadratic_form_matches_direct_cost():
             relaxed = float((form.linear * x).sum() + 0.5 * (x * form.apply_permutation(x.nonzero()[1])).sum())
             direct = direct_transformation_cost(model, t, g, g2)
             assert relaxed == pytest.approx(direct), forward
-            # scored maps are cached per pair; each map keeps its own cost
-            assert form.scored(forward) == (pytest.approx(direct), tuple(forward.tolist()))
 
 
 def test_quadratic_form_unlabeled_edges():
@@ -221,6 +219,72 @@ def test_ipfp_stops_before_the_cap(monkeypatch):
             counts.append(products[0])
         # the relative stop ends every start before either cap
         assert counts == [expected, expected]
+
+
+def test_mipfp_memory_does_not_grow_with_the_start_count():
+    rng = np.random.default_rng(5)
+    g = random_graph(rng, 12)
+    g2 = random_graph(rng, 12)
+    model = make_cost_model()
+    peaks = []
+    for starts in (200, 1000):
+        tracemalloc.start()
+        try:
+            solve_ged(model, g, g2, GedSolverConfig(method="mipfp", multistart_count=starts))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # keeping every visited map would add about 2.4 KB per start
+    assert peaks[1] < peaks[0] + 2**17, peaks
+
+
+def test_selection_prices_few_maps(monkeypatch):
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return forward_cost(*args)
+
+    monkeypatch.setattr(solvers, "forward_cost", counted)
+    model, pairs = _pinned_pairs("label")
+    g, g2 = pairs[2]
+    r = solve_ged(model, g, g2, GedSolverConfig(method="mipfp", multistart_count=6, rng_seed=5))
+    assert (r.cost, tuple(r.transformation.forward.tolist())) == PINNED["label", "mipfp"][2][:2]
+    # maps whose relaxed value is above the best cost so far, and the best map again, are not priced;
+    # pricing every distinct visited map once would take 14 calls
+    assert calls[0] == 11
+
+
+@pytest.mark.parametrize("setting", ["default", "non-dyadic", "vector"])
+def test_screened_selection_equals_pricing_every_visited_map(setting):
+    kwargs = {"edge_values": (1, 2, 3)}
+    if setting == "default":
+        model = make_cost_model()
+    elif setting == "non-dyadic":
+        # constants with no exact binary form: relaxed values and true costs differ by rounding
+        model = make_cost_model(c_vs=0.1, c_es=0.1, c_vr=0.3, c_vi=0.2, c_er=0.3, c_ei=0.7)
+    else:
+        with pytest.warns(RuntimeWarning):
+            model = make_cost_model(vertex_mode="vector", edge_mode="none")
+        kwargs = {"vertex_mode": "vector", "edge_mode": "none"}
+    config = GedSolverConfig()
+    # under the non-dyadic model this stream holds a tie that a zero margin would select wrongly
+    rng = np.random.default_rng(37)
+    for i in range(60):
+        g = random_graph(rng, int(rng.integers(0, 8)), **kwargs)
+        g2 = g if i % 4 == 0 else random_graph(rng, int(rng.integers(0, 8)), **kwargs)
+        form = _QapForm(model, g, g2)
+        starts = [solvers._bipartite_forward(form)]
+        starts += [_random_maximal_forward(rng, g.order, g2.order) for _ in range(4)]
+        visited = [v for f in starts for v in solvers._ipfp_refine(form, f, config)]
+        for forward, value in visited:
+            if value is not None:
+                assert value == pytest.approx(forward_cost(model, forward, g, g2), rel=1e-12, abs=1e-12)
+        every = min((forward_cost(model, forward, g, g2), tuple(forward.tolist())) for forward, _ in visited)
+        assert form.cheapest(visited) == every
+        assert form.cheapest((forward, None) for forward in starts) == min(
+            (forward_cost(model, forward, g, g2), tuple(forward.tolist())) for forward in starts
+        )
 
 
 def test_mipfp_order_50_runs_in_bounded_memory():
