@@ -163,13 +163,20 @@ def _vertex_subst_matrix(model: CostModel, phi: np.ndarray, phi2: np.ndarray) ->
         return model.vertex_subst.cost * (phi[:, None] != phi2[None, :])
     if phi.shape[1] != phi2.shape[1]:
         raise CostModelError("vector substitution needs two equal-length vectors")
+    return _squared_differences(phi[:, None, :], phi2[None, :, :]).sum(axis=2)
+
+
+def _squared_differences(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``(u - v)**2`` of broadcast vectors; GraphError if a pair's squared distance overflows."""
     with np.errstate(over="ignore"):
-        diff = phi[:, None, :] - phi2[None, :, :]
-        dist = (diff * diff).sum(axis=2)
+        d = u - v
+        squares = d * d
+        dist = squares.sum(axis=-1)
     if not np.isfinite(dist).all():  # finite coordinates can still overflow
-        i, k = np.argwhere(~np.isfinite(dist))[0]
-        raise GraphError(f"squared distance between vertex vectors {phi[i].tolist()} and {phi2[k].tolist()} overflows")
-    return dist
+        at = tuple(np.argwhere(~np.isfinite(dist))[0])
+        a, b = np.broadcast_to(u, d.shape)[at], np.broadcast_to(v, d.shape)[at]
+        raise GraphError(f"squared distance between vertex vectors {a.tolist()} and {b.tolist()} overflows")
+    return squares
 
 
 def _vertex_term(model: CostModel, f: np.ndarray, phi: np.ndarray, phi2: np.ndarray) -> float:
@@ -178,8 +185,7 @@ def _vertex_term(model: CostModel, f: np.ndarray, phi: np.ndarray, phi2: np.ndar
     if isinstance(model.vertex_subst, LabelDelta):
         subst = model.vertex_subst.cost * np.count_nonzero(phi[sub] != phi2[targets])
     else:
-        d = phi[sub] - phi2[targets]
-        subst = float((d * d).sum())
+        subst = float(_squared_differences(phi[sub], phi2[targets]).sum())
     n_sub = len(targets)
     return float(subst + model.c_vr * (len(phi) - n_sub) + model.c_vi * (len(phi2) - n_sub))
 

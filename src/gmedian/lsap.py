@@ -5,6 +5,10 @@ The augmented matrix for matching n source against n2 target vertices is
 diagonal (off-diagonal cells hold a large finite sentinel), an n2 x n2
 diagonal insertion block, and an all-zero slack block. A solution never
 selects a sentinel cell; that is checked after every solve.
+
+:func:`solve_partial` solves the same problem on the substitution block
+alone, once the removal and insertion costs are folded into it: a row is
+paired with a column only where that pays, else removed.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-__all__ = ["SENTINEL", "LsapError", "build_assignment_problem", "solve_lsap"]
+__all__ = ["SENTINEL", "LsapError", "build_assignment_problem", "solve_lsap", "solve_partial"]
 
 SENTINEL = 1e15
 
@@ -66,3 +70,19 @@ def solve_lsap(problem: np.ndarray) -> tuple[np.ndarray, float]:
     if np.any(selected >= SENTINEL):
         raise LsapError("no feasible assignment avoids sentinel cells")
     return cols, float(selected.sum())
+
+
+def solve_partial(cost: np.ndarray) -> np.ndarray:
+    """Minimum-cost partial matching of the rows of an (n, n2) matrix to its columns.
+
+    Row i is paired with column ``forward[i]``, or with none (``forward[i]
+    == n2``); the objective is the sum of the paired entries, so a pair is
+    kept only where its entry is negative, and a zero entry stays unpaired.
+    """
+    if not np.isfinite(cost).all():
+        raise LsapError("cost matrix contains non-finite entries")
+    rows, cols = linear_sum_assignment(np.minimum(cost, 0.0))
+    keep = cost[rows, cols] < 0
+    forward = np.full(cost.shape[0], cost.shape[1], dtype=np.int64)
+    forward[rows[keep]] = cols[keep]
+    return forward

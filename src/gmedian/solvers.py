@@ -5,25 +5,30 @@ stacks of maps are scored by the cost rule that :func:`costs.forward_cost`
 applies to one map, and ties go to the lexicographically smallest map.
 Every other method runs one pipeline per pair of graphs:
 
-1. build the quadratic form of the edit cost over the augmented assignment
-   layout (:class:`_QapForm`) once; its edge terms are built only if IPFP
-   runs;
+1. check that removing one graph and inserting the other whole has a
+   finite cost, and build the quadratic form of the edit cost over the
+   substitution block of a map (:class:`_QapForm`) once; its edge terms are
+   built only if IPFP runs;
 2. take the bipartite start, one linear assignment over vertices enriched
    with their incident edges (:func:`ged_bipartite`);
 3. for ``mbipartite`` and ``mipfp``, add ``multistart_count`` seeded random
    maximal maps (:func:`ged_multistart`);
 4. for ``ipfp`` and ``mipfp``, refine every start by iterated linear
    approximation of the quadratic cost (:func:`ged_ipfp`), else score it.
-   Each step takes one Hessian product, on the LSAP's permutation b:
-   ``qb = Q b`` is a row gather and one GEMM, O(B N^3) for the B = 2 + L
-   edge terms. ``Q x`` is carried by linearity, ``Q x' = Q x + alpha (qb -
-   Q x)``, and reset to ``qb`` on a full step (alpha = 1), which lands
-   exactly on b, so rounding does not accumulate across full steps. A
-   start stops once the linear gap or one step's decrease of the relaxed
-   objective is at most ``ipfp_tol`` times its value (Bougleux et al.
-   2017), or at ``ipfp_max_iters`` steps. A start that ends off a
-   permutation is projected back to one by one more LSAP. Every map
-   visited is yielded, with its relaxed value where a product gives it;
+   The relaxed point x is an n x n2 substitution block; removal and
+   insertion are what its rows and columns leave, so each step's linear
+   problem is a partial matching on the n x n2 gradient, pairing a vertex
+   only where that lowers the objective (:func:`lsap.solve_partial`). Each
+   step takes one Hessian product, on that step's map b: ``hb = H b`` is a
+   row gather and one GEMM, O(B n^2 n2) for the B = 1 + L edge terms.
+   ``H x`` is carried by linearity, ``H x' = H x + alpha (hb - H x)``, and
+   reset to ``hb`` on a full step (alpha = 1), which lands exactly on b, so
+   rounding does not accumulate across full steps. A start stops once the
+   linear gap or one step's decrease of the relaxed objective is at most
+   ``ipfp_tol`` times its value (Bougleux et al. 2017), or at
+   ``ipfp_max_iters`` steps. A start that ends off a map is projected back
+   to one by one more partial matching. Every map visited is yielded, with
+   its relaxed value where a product gives it;
 5. keep the cheapest map, ties to the lexicographically smaller one, and
    build its :class:`Transformation`. A relaxed value is its map's cost up
    to rounding, so :func:`costs.forward_cost` prices only maps whose value
@@ -36,6 +41,7 @@ reported value, so heuristic outputs are always valid upper bounds.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -129,8 +135,7 @@ def ged_exact(
         raise SolverError(
             f"orders ({g.order}, {g2.order}) exceed the exact enumeration cap {order_cap}"
         )
-    check_model_compatible(model, g)
-    check_model_compatible(model, g2)
+    _whole_edit_cost(model, g, g2)
     n, n2 = g.order, g2.order
     best: tuple[float, tuple[int, ...]] = (np.inf, ())
     for k in range(min(n, n2) + 1):
@@ -145,6 +150,24 @@ def ged_exact(
                 best = min(best, (float(costs[i]), tuple(forward[i].tolist())))
     f = np.asarray(best[1], dtype=np.int64)
     return GedResult(transformation_from_forward(f, n, n2), forward_cost(model, f, g, g2), True)
+
+
+def _whole_edit_cost(model: CostModel, g: AttributedGraph, g2: AttributedGraph) -> float:
+    """Cost of removing ``g`` and inserting ``g2`` whole, once the model is checked against both.
+
+    Under label costs no map costs more, so a finite total keeps every cost
+    a solver forms finite; a total that overflows is rejected by name.
+    """
+    check_model_compatible(model, g)
+    check_model_compatible(model, g2)
+    n, n2, e, e2 = g.order, g2.order, g.n_edges, g2.n_edges
+    total = n * model.c_vr + n2 * model.c_vi + e * model.c_er + e2 * model.c_ei
+    if not math.isfinite(total):
+        raise SolverError(
+            f"{n}*c_vr + {n2}*c_vi + {e}*c_er + {e2}*c_ei overflows with c_vr={model.c_vr!r}, "
+            f"c_vi={model.c_vi!r}, c_er={model.c_er!r}, c_ei={model.c_ei!r}"
+        )
+    return total
 
 
 def _incident_edge_matrix(model: CostModel, g: AttributedGraph, g2: AttributedGraph) -> np.ndarray:
@@ -182,87 +205,69 @@ def ged_bipartite(model: CostModel, g: AttributedGraph, g2: AttributedGraph) -> 
 
 
 class _QapForm:
-    """Quadratic form of the edit cost over the augmented assignment layout.
+    """Quadratic form of the edit cost over the substitution block of a map.
 
-    For an (n + n2) x (n2 + n) permutation matrix X encoding a
-    transformation, ``(linear * X).sum() + 0.5 * (X * QX).sum()`` equals the
-    true transformation cost, with ``QX = (Q @ X.ravel()).reshape(N, N)`` the
-    product with the symmetric (N^2 x N^2) Hessian Q. In matrix form
+    A map from ``g`` (order n) to ``g2`` (order n2) is an n x n2 partial
+    permutation matrix S; IPFP relaxes it to ``S >= 0`` with row and column
+    sums at most 1. Over the augmented (n + n2) x (n2 + n) assignment layout
     (Bougleux et al., "Graph edit distance as a quadratic assignment
-    problem", 2017), with E, F the adjacency matrices of g, g2 padded to
-    N x N (N = n + n2), E_l, F_l their edges labelled l and J all ones,
-    ``QX = E X (c_er J - (c_er + c_ei - c_es) F) + c_ei (J - I) X F
-    - c_es sum_l E_l X F_l``, in O(N^3) time and O(N^2) memory per term.
+    problem", 2017) the removal and insertion cells hold ``1 - S.sum(1)``
+    and ``1 - S.sum(0)``, and the slack block carries no cost and no
+    gradient, so the augmented relaxed objective is exactly
 
-    The B = 2 + L terms are held as one (N, B*N) block row of left factors
-    and a (B, N, N) stack of right factors. On a permutation matrix P,
-    ``P @ right_b`` is a row gather of ``right_b``, so
-    :meth:`apply_permutation` takes one gather and one (N, B*N) x (B*N, N)
-    GEMM. IPFP only ever multiplies Q by a permutation.
+        ``c0 + <W, S> + 0.5 <S, H S>``, with
+        ``c0 = n c_vr + n2 c_vi + c_er |E| + c_ei |E2|``,
+        ``W = C_sub - c_vr - c_vi``,
+        ``H S = -(c_er + c_ei - c_es) A S A2 - c_ei S A2 - c_es sum_l A_l S A2_l``,
+
+    for the vertex substitution costs C_sub, the adjacency matrices A, A2
+    and their edges labelled l, A_l and A2_l. The ``-c_ei S A2`` term is
+    zero on maps; it stays so that fractional points follow the augmented
+    relaxation. On a map ``S @ M = M[forward]`` for M padded with
+    a zero row n2 (the image of a removed vertex), so :meth:`product` is a
+    row gather of the (B, n2 + 1, n2) stack of right factors and one
+    (n, B*n) x (B*n, n2) GEMM, B = 1 + L.
     """
 
     def __init__(self, model: CostModel, g: AttributedGraph, g2: AttributedGraph):
         self.model = model
         self.g = g
         self.g2 = g2
-        n, n2 = g.order, g2.order
-        self.n, self.n2 = n, n2
-        N = n + n2
-        self.N = N
-
-        self.linear = lsap.build_assignment_problem(
-            _vertex_subst_matrix(model, g.vertex_attrs, g2.vertex_attrs),
-            np.full(n, model.c_vr),
-            np.full(n2, model.c_vi),
-        )
+        self.n, self.n2 = g.order, g2.order
+        self.c0 = _whole_edit_cost(model, g, g2)
+        self.subst = _vertex_subst_matrix(model, g.vertex_attrs, g2.vertex_attrs)
+        self.linear = self.subst - model.c_vr - model.c_vi
+        # rows[forward] is the partial permutation matrix of a map
+        self.rows = np.eye(self.n2 + 1)[:, : self.n2]
 
     @cached_property
-    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(lcat, right)`` with ``lcat[:, b*N:(b+1)*N] = left_b`` and ``right[b] = right_b``.
-
-        ``QX = sum over b of left_b @ X @ right_b``; built on first use.
-        """
-        g, g2, n, n2, N = self.g, self.g2, self.n, self.n2, self.N
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(lcat, right)`` with ``H S = lcat @ vstack_b(S right_b) - c_ei S right_0``; built on first use."""
+        g, g2, n, n2 = self.g, self.g2, self.n, self.n2
         cer, cei = self.model.c_er, self.model.c_ei
         ces = self.model.edge_subst.cost if isinstance(self.model.edge_subst, LabelDelta) else 0.0
-        # only a label on edges of both graphs can be kept unchanged
-        labels = np.intersect1d(g.edge_attrs[g.adjacency == 1], g2.edge_attrs[g2.adjacency == 1]) if ces else []
-        B = 2 + len(labels)
-        lcat = np.zeros((N, B, N))
-        right = np.zeros((B, N, N))
-        lcat[:n, 0, :n] = g.adjacency
-        lcat[:, 1] = cei * (1.0 - np.eye(N))
-        right[1, :n2, :n2] = g2.adjacency
-        right[0] = cer - (cer + cei - ces) * right[1]
-        for b, label in enumerate(labels, 2):
-            lcat[:n, b, :n] = -ces * g.adjacency * (g.edge_attrs == label)
-            right[b, :n2, :n2] = g2.adjacency * (g2.edge_attrs == label)
-        return lcat.reshape(N, B * N), right
+        # a kept edge needs an edge in each graph (c_er + c_ei can overflow only when one has none),
+        # and only a label on edges of both can be kept unchanged
+        both = g.n_edges and g2.n_edges
+        labels = []
+        if both and ces:
+            labels = np.intersect1d(g.edge_attrs[g.adjacency == 1], g2.edge_attrs[g2.adjacency == 1])
+        B = 1 + len(labels)
+        lcat = np.zeros((n, B, n))
+        right = np.zeros((B, n2 + 1, n2))
+        right[0, :n2] = g2.adjacency
+        if both:
+            lcat[:, 0] = -(cer + cei - ces) * g.adjacency
+        for b, label in enumerate(labels, 1):
+            lcat[:, b] = -ces * g.adjacency * (g.edge_attrs == label)
+            right[b, :n2] = g2.adjacency * (g2.edge_attrs == label)
+        return lcat.reshape(n, B * n), right
 
-    def apply_permutation(self, assignment: np.ndarray) -> np.ndarray:
-        """``(Q @ P.ravel()).reshape(N, N)`` for the permutation matrix ``P[r, assignment[r]] = 1``.
-
-        ``P @ right_b = right_b[assignment]``, a row gather in place of a GEMM.
-        """
-        lcat, right = self._blocks
-        return lcat @ right.take(assignment, axis=1).reshape(lcat.shape[1], self.N)
-
-    def start_matrix(self, forward: np.ndarray) -> np.ndarray:
-        """Permutation matrix of ``forward``: removals and free insertions on the diagonals."""
-        n, n2 = self.n, self.n2
-        x = np.zeros((self.N, self.N))
-        rows = np.arange(n)
-        sub = forward < n2
-        x[rows, np.where(sub, forward, n2 + rows)] = 1.0
-        used = np.bincount(forward, minlength=n2 + 1)[:n2] > 0
-        free = np.flatnonzero(~used)
-        x[n + free, free] = 1.0
-        # slack rows of substituted targets pair, in order, with slack columns of substituted sources
-        x[n + np.flatnonzero(used), n2 + rows[sub]] = 1.0
-        return x
-
-    def forward_of(self, assignment: np.ndarray) -> np.ndarray:
-        return np.minimum(assignment[: self.n], self.n2)
+    def product(self, forward: np.ndarray) -> np.ndarray:
+        """``H S`` for the partial permutation matrix S of ``forward``."""
+        lcat, right = self._factors
+        gathered = right.take(forward, axis=1)
+        return lcat @ gathered.reshape(lcat.shape[1], self.n2) - self.model.c_ei * gathered[0]
 
     def cheapest(self, visited: Iterable[tuple[np.ndarray, float | None]]) -> tuple[float, tuple[int, ...]]:
         """(true cost, forward tuple) of the cheapest of (forward, relaxed value or None), ties to the smaller map."""
@@ -279,35 +284,37 @@ def _ipfp_refine(
     form: _QapForm, init_forward: np.ndarray, config: GedSolverConfig
 ) -> Iterator[tuple[np.ndarray, float | None]]:
     """Run the refinement from one initial map; yields every map it visits with its relaxed value."""
-    x = form.start_matrix(init_forward)
-    qx = form.apply_permutation(x.nonzero()[1])
+    x = form.rows[init_forward]
+    hx = form.product(init_forward)
     # the relaxed objective at x, lowered by each step's exact decrease
-    f = float(np.vdot(form.linear, x) + 0.5 * np.vdot(x, qx))
+    f = form.c0 + float(np.vdot(form.linear, x) + 0.5 * np.vdot(x, hx))
     yield init_forward, f
     alpha = 1.0
     for _ in range(config.ipfp_max_iters):
-        grad = form.linear + qx
-        assignment, _ = lsap.solve_lsap(grad)
-        b = np.eye(form.N)[assignment]
+        grad = form.linear + hx
+        forward = lsap.solve_partial(grad)
+        b = form.rows[forward]
         d = b - x
         gap = float(np.vdot(grad, d))
         if gap >= -config.ipfp_tol * abs(f):
-            yield form.forward_of(assignment), None
+            yield forward, None
             break
-        qb = form.apply_permutation(assignment)
-        yield form.forward_of(assignment), float(np.vdot(form.linear, b) + 0.5 * np.vdot(b, qb))
-        qd = qb - qx
-        curvature = float(np.vdot(d, qd))
+        hb = form.product(forward)
+        yield forward, form.c0 + float(np.vdot(form.linear, b) + 0.5 * np.vdot(b, hb))
+        hd = hb - hx
+        curvature = float(np.vdot(d, hd))
         alpha = 1.0 if curvature <= 0 else min(1.0, -gap / curvature)
         x = x + alpha * d
-        # a full step lands exactly on the permutation, so its product resets any drift
-        qx = qb if alpha == 1.0 else qx + alpha * qd
+        # a full step lands exactly on the map, so its product resets any drift
+        hx = hb if alpha == 1.0 else hx + alpha * hd
         drop = -(alpha * gap + 0.5 * alpha**2 * curvature)
         if drop <= config.ipfp_tol * abs(f):
             break
         f -= drop
-    if alpha != 1.0:  # else x is the start or the last LSAP's permutation, already yielded
-        yield form.forward_of(lsap.solve_lsap(-x)[0]), None
+    if alpha != 1.0:  # else x is the start or the last step's map, already yielded
+        # the map sharing most mass with x, removal and insertion cells included
+        removed, inserted = 1.0 - x.sum(axis=1), 1.0 - x.sum(axis=0)
+        yield lsap.solve_partial(removed[:, None] + inserted[None, :] - x), None
 
 
 def ged_ipfp(
@@ -319,18 +326,15 @@ def ged_ipfp(
 ) -> GedResult:
     """Refine ``init`` by iterated linearization of the quadratic edit cost.
 
-    Each step solves a linear assignment on the gradient at the current
+    Each step solves a partial matching on the gradient at the current
     relaxed point, takes the best step towards it (exact line search on the
     quadratic), and remembers the best discrete map seen, the initial one
-    included. It stops once the gap to that assignment, or the decrease of
+    included. It stops once the gap to that matching, or the decrease of
     one step, is at most ``config.ipfp_tol`` times the relaxed objective,
     or after ``config.ipfp_max_iters`` steps; a relaxed point that is not a
-    permutation is then projected back to a transformation with one more
-    assignment solve. The returned cost is therefore never worse than the
-    cost of ``init``.
+    map is then projected back to one by one more partial matching. The
+    returned cost is therefore never worse than the cost of ``init``.
     """
-    check_model_compatible(model, g)
-    check_model_compatible(model, g2)
     if init.source_order != g.order or init.target_order != g2.order:
         raise SolverError("initial transformation does not match the graph orders")
     form = _QapForm(model, g, g2)
@@ -347,22 +351,21 @@ def _random_maximal_forward(rng: np.random.Generator, n: int, n2: int) -> np.nda
 
 
 def _bipartite_forward(form: _QapForm) -> np.ndarray:
-    """Map of the bipartite bound: ``form.linear`` plus half the incident edge costs."""
-    model, g, g2, n, n2 = form.model, form.g, form.g2, form.n, form.n2
-    cost = form.linear.copy()
-    cost[:n, :n2] += 0.5 * _incident_edge_matrix(model, g, g2)
-    cost[np.arange(n), n2 + np.arange(n)] += 0.5 * model.c_er * g.degrees
-    cost[n + np.arange(n2), np.arange(n2)] += 0.5 * model.c_ei * g2.degrees
+    """Map of the bipartite bound: the vertex costs plus half the incident edge costs, on the augmented layout."""
+    model, g, g2 = form.model, form.g, form.g2
+    cost = lsap.build_assignment_problem(
+        form.subst + 0.5 * _incident_edge_matrix(model, g, g2),
+        model.c_vr + 0.5 * model.c_er * g.degrees,
+        model.c_vi + 0.5 * model.c_ei * g2.degrees,
+    )
     assignment, _ = lsap.solve_lsap(cost)
-    return form.forward_of(assignment)
+    return np.minimum(assignment[: form.n], form.n2)
 
 
 def _solve(
     model: CostModel, g: AttributedGraph, g2: AttributedGraph, config: GedSolverConfig, random_starts: int
 ) -> GedResult:
     """The pipeline of the module docstring; ipfp-family methods refine the starts."""
-    check_model_compatible(model, g)
-    check_model_compatible(model, g2)
     n, n2 = g.order, g2.order
     form = _QapForm(model, g, g2)
     starts = [_bipartite_forward(form)]

@@ -115,6 +115,17 @@ def test_non_finite_cost_constant_is_usage_error(spec, name, graph_files, capsys
     assert err.startswith("error:") and f"{name} must be finite" in err
 
 
+@pytest.mark.parametrize("method", ["exact", "bipartite", "mipfp"])
+def test_overflowing_total_cost_is_usage_error(method, tmp_path, capsys):
+    # each constant is finite, but removing three vertices at 1e308 each is not
+    a, b = tmp_path / "l3.gmg", tmp_path / "l0.gmg"
+    save_graph(build_graph(3, [1, 2, 1], [(0, 1, 1)]), a)
+    save_graph(build_graph(0, [], edge_labels=True), b)
+    assert main(["ged", str(a), str(b), "--method", method, "--cost", "c_vr=1e308"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 3*c_vr + 0*c_vi + 1*c_er + 0*c_ei overflows with c_vr=1e+308"), err
+
+
 def test_ipfp_tol_from_config_is_validated(graph_files, tmp_path, capsys):
     a, b = graph_files
     cfg = tmp_path / "cfg.json"

@@ -6,6 +6,7 @@ import pytest
 from gmedian import (
     CostModel,
     CostModelError,
+    GraphError,
     LabelDelta,
     SquaredEuclidean,
     ZeroCost,
@@ -193,3 +194,19 @@ def test_direct_model_construction():
     with pytest.warns(RuntimeWarning):
         vec = CostModel(1.0, 1.0, 1.0, 1.0, SquaredEuclidean(), ZeroCost())
     assert vec.vertex_mode == "vector"
+
+
+def test_overflowing_vector_distance_is_rejected_by_every_cost_function():
+    # finite coordinates whose squared distance, 4e400, is beyond float64
+    g = build_graph(2, [[1e200, 0.0], [0.0, 0.0]], edge_labels=False)
+    g2 = build_graph(2, [[-1e200, 0.0], [0.0, 0.0]], edge_labels=False)
+    with pytest.warns(RuntimeWarning):
+        model = make_cost_model(vertex_mode="vector", edge_mode="none")
+    t = transformation_from_forward([0, 1], 2, 2)
+    message = r"squared distance between vertex vectors \[1e\+200, 0\.0\] and \[-1e\+200, 0\.0\] overflows"
+    with pytest.raises(GraphError, match=message):
+        transformation_cost(model, t, g, g2)
+    with pytest.raises(GraphError, match=message):
+        forward_cost(model, t.forward, g, g2)
+    # a map that keeps the two far vertices apart still has a finite cost
+    assert forward_cost(model, np.array([2, 1]), g, g2) == 6.0

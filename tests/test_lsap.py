@@ -1,10 +1,12 @@
 """Linear assignment solving and the augmented square layout."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from gmedian import LsapError, build_assignment_problem, solve_lsap
-from gmedian.lsap import SENTINEL
+from gmedian.lsap import SENTINEL, solve_partial
 
 from oracles import brute_lsap
 
@@ -85,3 +87,43 @@ def test_rectangular_subst_shapes():
     assert c.shape == (4, 4)
     with pytest.raises(LsapError):
         build_assignment_problem(np.zeros((2, 2)), np.array([1.0]), np.array([1.0, 1.0]))
+
+
+def _partial_injections(n, n2):
+    """Every forward map of n rows into n2 columns, n2 standing for no column, injective on columns."""
+    for forward in itertools.product(range(n2 + 1), repeat=n):
+        paired = [k for k in forward if k < n2]
+        if len(paired) == len(set(paired)):
+            yield forward
+
+
+def test_partial_matching_matches_brute_force():
+    rng = np.random.default_rng(11)
+    for n in range(6):
+        for n2 in range(6):
+            for _ in range(3):
+                cost = rng.integers(-4, 4, size=(n, n2)).astype(np.float64)
+                forward = solve_partial(cost)
+                assert forward.shape == (n,) and forward.dtype == np.int64
+                paired = forward[forward < n2]
+                assert len(set(paired.tolist())) == len(paired)
+                objective = sum(cost[i, k] for i, k in enumerate(forward) if k < n2)
+                best = min(
+                    sum(cost[i, k] for i, k in enumerate(f) if k < n2) for f in _partial_injections(n, n2)
+                )
+                assert objective == best, (cost, forward)
+                # only negative entries are paired
+                assert all(cost[i, k] < 0 for i, k in enumerate(forward) if k < n2)
+
+
+def test_partial_matching_leaves_zero_ties_unpaired():
+    assert solve_partial(np.zeros((3, 2))).tolist() == [2, 2, 2]
+    assert solve_partial(np.array([[0.0, -1.0], [0.0, 0.0]])).tolist() == [1, 2]
+    assert solve_partial(np.array([[1.0, 2.0]])).tolist() == [2]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_partial_matching_rejects_non_finite(bad):
+    cost = np.array([[-1.0, 0.0], [0.0, bad]])
+    with pytest.raises(LsapError, match="non-finite"):
+        solve_partial(cost)

@@ -116,6 +116,12 @@ def test_exact_order_cap(pair):
     ged_exact(model, g, g, order_cap=4)
 
 
+def _map_value(form, forward):
+    """Relaxed objective of ``form`` at the map ``forward``."""
+    x = form.rows[forward]
+    return form.c0 + float(np.vdot(form.linear, x) + 0.5 * np.vdot(x, form.product(forward)))
+
+
 def test_quadratic_form_matches_direct_cost():
     rng = np.random.default_rng(23)
     model = make_cost_model(c_vs=2.0, c_es=1.5, c_vr=2.5, c_vi=3.0, c_er=2.0, c_ei=3.5)
@@ -127,55 +133,71 @@ def test_quadratic_form_matches_direct_cost():
         for _ in range(4):
             forward = np.asarray(random_forward(rng, n, n2), dtype=np.int64)
             t = transformation_from_forward(forward, n, n2)
-            x = form.start_matrix(forward)
-            assert np.array_equal(x, start_matrix(t)), forward
-            assert x.sum(axis=0).tolist() == [1.0] * form.N
-            assert x.sum(axis=1).tolist() == [1.0] * form.N
-            relaxed = float((form.linear * x).sum() + 0.5 * (x * form.apply_permutation(x.nonzero()[1])).sum())
-            direct = direct_transformation_cost(model, t, g, g2)
-            assert relaxed == pytest.approx(direct), forward
+            # dyadic constants: every term is exact
+            assert _map_value(form, forward) == direct_transformation_cost(model, t, g, g2), forward
 
 
 def test_quadratic_form_unlabeled_edges():
     rng = np.random.default_rng(24)
     model = make_cost_model(edge_mode="none", c_er=2.0, c_ei=1.0)
     for _ in range(40):
-        n, n2 = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        n, n2 = int(rng.integers(0, 5)), int(rng.integers(0, 5))
         g = random_graph(rng, n, edge_mode="none")
         g2 = random_graph(rng, n2, edge_mode="none")
         form = _QapForm(model, g, g2)
         forward = np.asarray(random_forward(rng, n, n2), dtype=np.int64)
         t = transformation_from_forward(forward, n, n2)
-        x = form.start_matrix(forward)
-        relaxed = float((form.linear * x).sum() + 0.5 * (x * form.apply_permutation(x.nonzero()[1])).sum())
-        assert relaxed == pytest.approx(direct_transformation_cost(model, t, g, g2))
+        assert _map_value(form, forward) == direct_transformation_cost(model, t, g, g2)
 
 
-@pytest.mark.parametrize("edge_mode", ["label", "none"])
-def test_permutation_product_matches_general_product_and_dense_oracle(edge_mode):
+def _model_and_graph_kwargs(setting):
+    if setting == "default":
+        return make_cost_model(), {"edge_values": (1, 2, 3)}
+    if setting == "non-dyadic":
+        # constants with no exact binary form: relaxed values and true costs differ by rounding
+        model = make_cost_model(c_vs=0.1, c_es=0.1, c_vr=0.3, c_vi=0.2, c_er=0.3, c_ei=0.7)
+        return model, {"edge_values": (1, 2, 3)}
+    with pytest.warns(RuntimeWarning):
+        model = make_cost_model(vertex_mode="vector", edge_mode="none")
+    return model, {"vertex_mode": "vector", "edge_mode": "none"}
+
+
+@pytest.mark.parametrize("setting", ["default", "non-dyadic", "vector"])
+def test_reduced_form_matches_dense_augmented_oracle(setting):
+    """Value and gradient over the substitution block equal the augmented (n + n2)^2 relaxation's."""
+    model, kwargs = _model_and_graph_kwargs(setting)
     rng = np.random.default_rng(28)
-    if edge_mode == "label":
-        model = make_cost_model(c_vs=2.0, c_es=1.5, c_vr=2.5, c_vi=3.0, c_er=2.0, c_ei=3.5)
-    else:
-        model = make_cost_model(edge_mode="none", c_er=2.0, c_ei=1.0)
-    for n in range(7):
-        for n2 in range(7):
-            g = random_graph(rng, n, edge_mode=edge_mode, edge_values=(1, 2, 3))
-            g2 = random_graph(rng, n2, edge_mode=edge_mode, edge_values=(1, 2, 3))
+    for n in range(6):
+        for n2 in range(6):
+            g = random_graph(rng, n, **kwargs)
+            g2 = random_graph(rng, n2, **kwargs)
             form = _QapForm(model, g, g2)
             q = dense_quad(model, g, g2)
             assert np.array_equal(q, q.T)
-            # the start of a random map, then any permutation, as the LSAP may return
-            forward = np.asarray(random_forward(rng, n, n2), dtype=np.int64)
-            for assignment in (form.start_matrix(forward).nonzero()[1], rng.permutation(form.N)):
-                x = np.zeros((form.N, form.N))
-                x[np.arange(form.N), assignment] = 1.0
-                got = form.apply_permutation(assignment)
-                np.testing.assert_allclose(got, (q @ x.ravel()).reshape(form.N, form.N), rtol=0, atol=1e-9)
+            linear = build_assignment_problem(
+                form.subst, np.full(n, model.c_vr), np.full(n2, model.c_vi)
+            )
+            N = n + n2
+            maps = [np.asarray(random_forward(rng, n, n2), dtype=np.int64) for _ in range(3)]
+            weights = rng.dirichlet(np.ones(len(maps)))
+            x_aug = sum(w * start_matrix(transformation_from_forward(f, n, n2)) for w, f in zip(weights, maps))
+            grad_aug = linear + (q @ x_aug.ravel()).reshape(N, N)
+            value_aug = float(np.vdot(linear, x_aug) + 0.5 * np.vdot(x_aug, grad_aug - linear))
+            # the reduced form at the same point, its product carried by linearity as IPFP does
+            x = sum(w * form.rows[f] for w, f in zip(weights, maps))
+            hx = sum(w * form.product(f) for w, f in zip(weights, maps))
+            grad = form.linear + hx
+            value = form.c0 + float(np.vdot(form.linear, x) + 0.5 * np.vdot(x, hx))
+            assert value == pytest.approx(value_aug, rel=1e-12, abs=1e-12)
+            # the slack block carries no gradient; a substitution cell moves mass off its removal and insertion cells
+            assert not grad_aug[n:, n2:].any()
+            rows, cols = np.arange(n), np.arange(n2)
+            reduced_aug = grad_aug[:n, :n2] - grad_aug[rows, n2 + rows][:, None] - grad_aug[n + cols, cols][None, :]
+            np.testing.assert_allclose(grad, reduced_aug, rtol=1e-12, atol=1e-12)
 
 
 def test_ipfp_takes_one_permutation_product_per_step(monkeypatch):
-    calls = {"product": 0, "lsap": 0}
+    calls = {"product": 0, "lsap": 0, "partial": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -184,32 +206,33 @@ def test_ipfp_takes_one_permutation_product_per_step(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(_QapForm, "apply_permutation", counted("product", _QapForm.apply_permutation))
+    monkeypatch.setattr(_QapForm, "product", counted("product", _QapForm.product))
     monkeypatch.setattr(solvers.lsap, "solve_lsap", counted("lsap", solvers.lsap.solve_lsap))
+    monkeypatch.setattr(solvers.lsap, "solve_partial", counted("partial", solvers.lsap.solve_partial))
     model, pairs = _pinned_pairs("label")
-    # every start of this pair stops on the gap before the iteration cap; 5 of the 7 end off a vertex
+    # every start of this pair stops on the gap before the iteration cap; 3 of the 7 end off a map
     g, g2 = pairs[2]
     r = solve_ged(model, g, g2, GedSolverConfig(method="mipfp", multistart_count=6, rng_seed=5))
     assert (r.cost, tuple(r.transformation.forward.tolist())) == PINNED["label", "mipfp"][2][:2]
-    starts, off_vertex = 1 + 6, 5
-    # one LSAP for the bipartite start; per start, one per step and one finding no descent;
-    # a projection only for a start that ends off a vertex
-    steps = calls["lsap"] - 1 - starts - off_vertex
+    starts, off_map = 1 + 6, 3
+    # one augmented LSAP for the bipartite start; per start, one partial matching per step and one
+    # finding no descent; a projection only for a start that ends off a map
+    steps = calls["partial"] - starts - off_map
     assert calls["product"] == starts + steps
-    assert calls == {"product": 29, "lsap": 35}
+    assert calls == {"product": 25, "lsap": 1, "partial": 28}
 
 
 def test_ipfp_stops_before_the_cap(monkeypatch):
     products = [0]
-    apply_permutation = _QapForm.apply_permutation
+    product = _QapForm.product
 
-    def counted(form, assignment):
+    def counted(form, forward):
         products[0] += 1
-        return apply_permutation(form, assignment)
+        return product(form, forward)
 
-    monkeypatch.setattr(_QapForm, "apply_permutation", counted)
+    monkeypatch.setattr(_QapForm, "product", counted)
     model, pairs = _pinned_pairs("label")
-    for (g, g2), pinned, expected in zip(pairs, PINNED["label", "mipfp"], (64, 148)):
+    for (g, g2), pinned, expected in zip(pairs, PINNED["label", "mipfp"], (89, 133)):
         counts = []
         for cap in (50, 100_000):
             products[0] = 0
@@ -251,22 +274,13 @@ def test_selection_prices_few_maps(monkeypatch):
     r = solve_ged(model, g, g2, GedSolverConfig(method="mipfp", multistart_count=6, rng_seed=5))
     assert (r.cost, tuple(r.transformation.forward.tolist())) == PINNED["label", "mipfp"][2][:2]
     # maps whose relaxed value is above the best cost so far, and the best map again, are not priced;
-    # pricing every distinct visited map once would take 14 calls
-    assert calls[0] == 11
+    # pricing every distinct visited map once would take 13 calls
+    assert calls[0] == 8
 
 
 @pytest.mark.parametrize("setting", ["default", "non-dyadic", "vector"])
 def test_screened_selection_equals_pricing_every_visited_map(setting):
-    kwargs = {"edge_values": (1, 2, 3)}
-    if setting == "default":
-        model = make_cost_model()
-    elif setting == "non-dyadic":
-        # constants with no exact binary form: relaxed values and true costs differ by rounding
-        model = make_cost_model(c_vs=0.1, c_es=0.1, c_vr=0.3, c_vi=0.2, c_er=0.3, c_ei=0.7)
-    else:
-        with pytest.warns(RuntimeWarning):
-            model = make_cost_model(vertex_mode="vector", edge_mode="none")
-        kwargs = {"vertex_mode": "vector", "edge_mode": "none"}
+    model, kwargs = _model_and_graph_kwargs(setting)
     config = GedSolverConfig()
     # under the non-dyadic model this stream holds a tie that a zero margin would select wrongly
     rng = np.random.default_rng(37)
@@ -278,7 +292,10 @@ def test_screened_selection_equals_pricing_every_visited_map(setting):
         starts += [_random_maximal_forward(rng, g.order, g2.order) for _ in range(4)]
         visited = [v for f in starts for v in solvers._ipfp_refine(form, f, config)]
         for forward, value in visited:
-            if value is not None:
+            if value is not None and setting == "default":
+                # integer constants: every term of the relaxed value is exact
+                assert value == forward_cost(model, forward, g, g2)
+            elif value is not None:
                 assert value == pytest.approx(forward_cost(model, forward, g, g2), rel=1e-12, abs=1e-12)
         every = min((forward_cost(model, forward, g, g2), tuple(forward.tolist())) for forward, _ in visited)
         assert form.cheapest(visited) == every
@@ -431,6 +448,17 @@ def test_solver_config_rejects_unusable_ipfp_tol(tol):
         GedSolverConfig(ipfp_tol=tol)
 
 
+def test_edge_constants_summing_beyond_float_range_on_an_edgeless_pair():
+    # c_er + c_ei overflows, but no edge can be kept when one graph has none
+    model = make_cost_model(c_er=1e308, c_ei=1e308)
+    g = build_graph(3, [1, 2, 2], [(0, 1, 1)])
+    g2 = build_graph(2, [1, 2], [], edge_labels=True)
+    for a, b in ((g, g2), (g2, g)):
+        forward = _random_maximal_forward(np.random.default_rng(0), a.order, b.order)
+        init = transformation_from_forward(forward, a.order, b.order)
+        assert ged_ipfp(model, a, b, init).cost == ged_exact(model, a, b).cost == 1e308
+
+
 def test_empty_graph_pairs():
     model = make_cost_model()
     empty = build_graph(0, [], edge_labels=True)
@@ -448,7 +476,7 @@ def test_empty_graph_pairs():
 PINNED = {
     ("label", "exact"): [(12.5, (4, 5, 1, 0, 3, 2), True), (25.5, (0, 2, 3, 5, 4), True), (27.0, (2, 3, 0), True)],
     ("label", "bipartite"): [(19.5, (4, 0, 5, 3, 2, 1), False), (33.0, (3, 1, 2, 4, 5), False), (31.0, (1, 3, 0), False)],
-    ("label", "ipfp"): [(13.5, (2, 0, 5, 3, 4, 1), False), (27.0, (3, 2, 0, 4, 5), False), (28.0, (1, 3, 2), False)],
+    ("label", "ipfp"): [(13.5, (2, 0, 5, 3, 4, 1), False), (27.0, (3, 2, 0, 4, 5), False), (27.0, (2, 3, 0), False)],
     ("label", "mbipartite"): [(18.5, (2, 4, 3, 1, 5, 0), False), (33.0, (3, 1, 2, 4, 5), False), (27.0, (2, 3, 0), False)],
     ("label", "mipfp"): [(12.5, (4, 5, 1, 0, 3, 2), False), (25.5, (0, 2, 3, 5, 4), False), (27.0, (2, 3, 0), False)],
     ("vector", "exact"): [(23.24634, (2, 5, 1, 0, 4), True), (19.464163, (4, 2, 4, 3, 1, 0), True)],
