@@ -72,7 +72,6 @@ from .solvers import (
     ged_bipartite,
     ged_exact,
     ged_ipfp,
-    ged_multistart,
     solve_ged,
 )
 
@@ -115,7 +114,6 @@ __all__ = [
     "ged_bipartite",
     "ged_exact",
     "ged_ipfp",
-    "ged_multistart",
     "graphs_equal",
     "identity_transformation",
     "load_collection",

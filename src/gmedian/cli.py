@@ -37,19 +37,14 @@ from .solvers import METHODS, GedSolverConfig, solve_ged
 
 __all__ = ["main"]
 
-_SOLVER_DEFAULTS = GedSolverConfig()
-
 DEFAULTS = {
     "cost": {"c_vs": 1.0, "c_es": 1.0, "c_vr": 3.0, "c_vi": 3.0, "c_er": 3.0, "c_ei": 3.0},
     "ged": {
         "method": "mipfp",
         "phase1": "mbipartite",
         "phase2": "mipfp",
-        "multistart": _SOLVER_DEFAULTS.multistart_count,
+        "multistart": GedSolverConfig.multistart_count,
         "seed": 0,
-        "ipfp_max_iters": _SOLVER_DEFAULTS.ipfp_max_iters,
-        "ipfp_tol": _SOLVER_DEFAULTS.ipfp_tol,
-        "exact_cap": _SOLVER_DEFAULTS.exact_order_cap,
     },
     "data": {"node_kind": None, "node_attrs": None, "edge_kind": None, "edge_attr": None},
     "run": {
@@ -196,14 +191,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 
 def _solver_config(config: dict, method: str) -> GedSolverConfig:
     ged = config["ged"]
-    return GedSolverConfig(
-        method=method,
-        multistart_count=int(ged["multistart"]),
-        ipfp_max_iters=int(ged["ipfp_max_iters"]),
-        ipfp_tol=float(ged["ipfp_tol"]),
-        rng_seed=int(ged["seed"]),
-        exact_order_cap=int(ged["exact_cap"]),
-    )
+    return GedSolverConfig(method=method, multistart_count=int(ged["multistart"]), rng_seed=int(ged["seed"]))
 
 
 def _descent_config(config: dict) -> DescentConfig:

@@ -60,6 +60,8 @@ class ExperimentConfig:
             raise HarnessError(f"per_class_sample of 1 or more must be a whole count, got {self.per_class_sample!r}")
         if self.repeats < 1:
             raise HarnessError("repeats must be at least 1")
+        if self.rng_seed < 0:
+            raise HarnessError(f"rng_seed must be non-negative, got {self.rng_seed!r}")
 
     def sample_size(self, class_size: int) -> int:
         if self.per_class_sample < 1.0:

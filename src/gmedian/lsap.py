@@ -2,9 +2,9 @@
 
 The augmented matrix for matching n source against n2 target vertices is
 (n + n2) x (n2 + n): a substitution block, an n x n removal block that is
-diagonal (off-diagonal cells hold a large finite sentinel), an n2 x n2
-diagonal insertion block, and an all-zero slack block. A solution never
-selects a sentinel cell; that is checked after every solve.
+diagonal (off-diagonal cells hold +inf, which marks a forbidden cell), an
+n2 x n2 diagonal insertion block, and an all-zero slack block. A solution
+never selects a forbidden cell, however large the finite costs are.
 
 :func:`solve_partial` solves the same problem on the substitution block
 alone, once the removal and insertion costs are folded into it: a row is
@@ -16,9 +16,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-__all__ = ["SENTINEL", "LsapError", "build_assignment_problem", "solve_lsap", "solve_partial"]
-
-SENTINEL = 1e15
+__all__ = ["LsapError", "build_assignment_problem", "solve_lsap", "solve_partial"]
 
 
 class LsapError(ValueError):
@@ -43,9 +41,9 @@ def build_assignment_problem(
         raise LsapError("removal/insertion cost vectors do not match block sizes")
     c = np.zeros((n + n2, n2 + n))
     c[:n, :n2] = subst
-    c[:n, n2:] = SENTINEL
+    c[:n, n2:] = np.inf
     c[np.arange(n), n2 + np.arange(n)] = removal
-    c[n:, :n2] = SENTINEL
+    c[n:, :n2] = np.inf
     c[n + np.arange(n2), np.arange(n2)] = insertion
     return c
 
@@ -54,22 +52,22 @@ def solve_lsap(problem: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimum-cost perfect matching: row i is assigned column assignment[i].
 
     ``problem`` is a square cost matrix, such as the one
-    :func:`build_assignment_problem` returns. The objective is the sum of
-    the selected entries.
+    :func:`build_assignment_problem` returns; a +inf entry is a forbidden
+    cell. The objective is the sum of the selected entries.
     """
     cost = np.asarray(problem, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise LsapError("cost matrix must be square")
-    if not np.isfinite(cost).all():
-        raise LsapError("cost matrix contains non-finite entries")
+    if not (cost > -np.inf).all():  # false for NaN and -inf
+        raise LsapError("cost matrix contains NaN or -inf entries")
     if cost.shape[0] == 0:
         return np.zeros(0, dtype=np.int64), 0.0
-    # for square input the rows come back as arange(n), so cols is the assignment
-    rows, cols = linear_sum_assignment(cost)
-    selected = cost[rows, cols]
-    if np.any(selected >= SENTINEL):
-        raise LsapError("no feasible assignment avoids sentinel cells")
-    return cols, float(selected.sum())
+    try:
+        # for square input the rows come back as arange(n), so cols is the assignment
+        rows, cols = linear_sum_assignment(cost)
+    except ValueError:  # scipy's "cost matrix is infeasible"
+        raise LsapError("no feasible assignment avoids the +inf cells") from None
+    return cols, float(cost[rows, cols].sum())
 
 
 def solve_partial(cost: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ Every other method runs one pipeline per pair of graphs:
 2. take the bipartite start, one linear assignment over vertices enriched
    with their incident edges (:func:`ged_bipartite`);
 3. for ``mbipartite`` and ``mipfp``, add ``multistart_count`` seeded random
-   maximal maps (:func:`ged_multistart`);
+   maximal maps;
 4. for ``ipfp`` and ``mipfp``, refine every start by iterated linear
    approximation of the quadratic cost (:func:`ged_ipfp`), else score it.
    The relaxed point x is an n x n2 substitution block; removal and
@@ -25,8 +25,8 @@ Every other method runs one pipeline per pair of graphs:
    reset to ``hb`` on a full step (alpha = 1), which lands exactly on b, so
    rounding does not accumulate across full steps. A start stops once the
    linear gap or one step's decrease of the relaxed objective is at most
-   ``ipfp_tol`` times its value (Bougleux et al. 2017), or at
-   ``ipfp_max_iters`` steps. A start that ends off a map is projected back
+   ``_IPFP_TOL`` times its value (Bougleux et al. 2017), or at
+   ``_IPFP_MAX_ITERS`` steps. A start that ends off a map is projected back
    to one by one more partial matching. Every map visited is yielded, with
    its relaxed value where a product gives it;
 5. keep the cheapest map, ties to the lexicographically smaller one, and
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -68,7 +67,6 @@ __all__ = [
     "ged_exact",
     "ged_bipartite",
     "ged_ipfp",
-    "ged_multistart",
     "solve_ged",
 ]
 
@@ -81,29 +79,19 @@ class SolverError(ValueError):
 
 @dataclass(frozen=True)
 class GedSolverConfig:
-    """Method selection and tuning knobs shared by all solver entry points.
-
-    ``ipfp_tol`` is relative: an IPFP start stops once a step could lower,
-    or did lower, the relaxed objective by at most ``ipfp_tol`` times its
-    current value. ``ipfp_max_iters`` caps the steps per start.
-    """
+    """The method, and the count and seed of the random starts of ``mbipartite`` and ``mipfp``."""
 
     method: str = "mipfp"
     multistart_count: int = 40
-    ipfp_max_iters: int = 50
-    ipfp_tol: float = 1e-4
     rng_seed: int = 0
-    exact_order_cap: int = 8
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise SolverError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.multistart_count < 1:
             raise SolverError("multistart_count must be at least 1")
-        if self.ipfp_max_iters < 1:
-            raise SolverError("ipfp_max_iters must be at least 1")
-        if not 0 <= self.ipfp_tol <= sys.float_info.max:  # also false for NaN
-            raise SolverError(f"ipfp_tol must be finite and non-negative, got {self.ipfp_tol!r}")
+        if self.rng_seed < 0:
+            raise SolverError(f"rng_seed must be non-negative, got {self.rng_seed!r}")
 
 
 @dataclass
@@ -115,25 +103,26 @@ class GedResult:
     is_exact: bool
 
 
+_EXACT_ORDER_CAP = 8  # larger orders are refused; two graphs of order 8 have 1,441,729 maps
 _EXACT_STACK = 4096  # maps scored per array pass; bounds memory whatever the order cap
+_IPFP_TOL = 1e-4  # relative stop of an IPFP start, see the module docstring
+_IPFP_MAX_ITERS = 50  # steps per IPFP start
 _SCREEN_MARGIN = 1e-9  # relative; a relaxed value this far above the best cost is no rounding error
 
 
-def ged_exact(
-    model: CostModel, g: AttributedGraph, g2: AttributedGraph, order_cap: int = 8
-) -> GedResult:
+def ged_exact(model: CostModel, g: AttributedGraph, g2: AttributedGraph) -> GedResult:
     """Exact edit distance by full enumeration of transformations.
 
-    Enumeration is exponential; graphs larger than ``order_cap`` are
+    Enumeration is exponential; graphs larger than ``_EXACT_ORDER_CAP`` are
     rejected. For each number k of substitutions and each k-subset of
     source vertices, the images run through every k-permutation of target
     vertices in lexicographic order, scored in stacks of at most
     ``_EXACT_STACK`` maps by the shared cost rule. Among cost ties the
     lexicographically smallest forward map wins.
     """
-    if max(g.order, g2.order) > order_cap:
+    if max(g.order, g2.order) > _EXACT_ORDER_CAP:
         raise SolverError(
-            f"orders ({g.order}, {g2.order}) exceed the exact enumeration cap {order_cap}"
+            f"orders ({g.order}, {g2.order}) exceed the exact enumeration cap {_EXACT_ORDER_CAP}"
         )
     _whole_edit_cost(model, g, g2)
     n, n2 = g.order, g2.order
@@ -201,7 +190,7 @@ def ged_bipartite(model: CostModel, g: AttributedGraph, g2: AttributedGraph) -> 
     yields a vertex map, and the reported cost is the true cost of the
     induced transformation (not the assignment objective).
     """
-    return _solve(model, g, g2, GedSolverConfig(method="bipartite"), 0)
+    return _solve(model, g, g2, GedSolverConfig(method="bipartite"))
 
 
 class _QapForm:
@@ -280,9 +269,7 @@ class _QapForm:
         return best
 
 
-def _ipfp_refine(
-    form: _QapForm, init_forward: np.ndarray, config: GedSolverConfig
-) -> Iterator[tuple[np.ndarray, float | None]]:
+def _ipfp_refine(form: _QapForm, init_forward: np.ndarray) -> Iterator[tuple[np.ndarray, float | None]]:
     """Run the refinement from one initial map; yields every map it visits with its relaxed value."""
     x = form.rows[init_forward]
     hx = form.product(init_forward)
@@ -290,13 +277,13 @@ def _ipfp_refine(
     f = form.c0 + float(np.vdot(form.linear, x) + 0.5 * np.vdot(x, hx))
     yield init_forward, f
     alpha = 1.0
-    for _ in range(config.ipfp_max_iters):
+    for _ in range(_IPFP_MAX_ITERS):
         grad = form.linear + hx
         forward = lsap.solve_partial(grad)
         b = form.rows[forward]
         d = b - x
         gap = float(np.vdot(grad, d))
-        if gap >= -config.ipfp_tol * abs(f):
+        if gap >= -_IPFP_TOL * abs(f):
             yield forward, None
             break
         hb = form.product(forward)
@@ -308,7 +295,7 @@ def _ipfp_refine(
         # a full step lands exactly on the map, so its product resets any drift
         hx = hb if alpha == 1.0 else hx + alpha * hd
         drop = -(alpha * gap + 0.5 * alpha**2 * curvature)
-        if drop <= config.ipfp_tol * abs(f):
+        if drop <= _IPFP_TOL * abs(f):
             break
         f -= drop
     if alpha != 1.0:  # else x is the start or the last step's map, already yielded
@@ -317,28 +304,22 @@ def _ipfp_refine(
         yield lsap.solve_partial(removed[:, None] + inserted[None, :] - x), None
 
 
-def ged_ipfp(
-    model: CostModel,
-    g: AttributedGraph,
-    g2: AttributedGraph,
-    init: Transformation,
-    config: GedSolverConfig = GedSolverConfig(),
-) -> GedResult:
+def ged_ipfp(model: CostModel, g: AttributedGraph, g2: AttributedGraph, init: Transformation) -> GedResult:
     """Refine ``init`` by iterated linearization of the quadratic edit cost.
 
     Each step solves a partial matching on the gradient at the current
     relaxed point, takes the best step towards it (exact line search on the
     quadratic), and remembers the best discrete map seen, the initial one
     included. It stops once the gap to that matching, or the decrease of
-    one step, is at most ``config.ipfp_tol`` times the relaxed objective,
-    or after ``config.ipfp_max_iters`` steps; a relaxed point that is not a
+    one step, is at most ``_IPFP_TOL`` times the relaxed objective,
+    or after ``_IPFP_MAX_ITERS`` steps; a relaxed point that is not a
     map is then projected back to one by one more partial matching. The
     returned cost is therefore never worse than the cost of ``init``.
     """
     if init.source_order != g.order or init.target_order != g2.order:
         raise SolverError("initial transformation does not match the graph orders")
     form = _QapForm(model, g, g2)
-    cost, forward = form.cheapest(_ipfp_refine(form, init.forward, config))
+    cost, forward = form.cheapest(_ipfp_refine(form, init.forward))
     return GedResult(transformation_from_forward(forward, g.order, g2.order), cost, False)
 
 
@@ -362,38 +343,22 @@ def _bipartite_forward(form: _QapForm) -> np.ndarray:
     return np.minimum(assignment[: form.n], form.n2)
 
 
-def _solve(
-    model: CostModel, g: AttributedGraph, g2: AttributedGraph, config: GedSolverConfig, random_starts: int
-) -> GedResult:
-    """The pipeline of the module docstring; ipfp-family methods refine the starts."""
+def _solve(model: CostModel, g: AttributedGraph, g2: AttributedGraph, config: GedSolverConfig) -> GedResult:
+    """The pipeline of the module docstring, for every method but ``exact``."""
     n, n2 = g.order, g2.order
     form = _QapForm(model, g, g2)
     starts = [_bipartite_forward(form)]
-    if random_starts:
+    if config.method in ("mbipartite", "mipfp"):
         # drawn one at a time as they are refined, so memory does not grow with the count
         rng = np.random.default_rng(config.rng_seed)
-        starts = itertools.chain(starts, (_random_maximal_forward(rng, n, n2) for _ in range(random_starts)))
+        randoms = (_random_maximal_forward(rng, n, n2) for _ in range(config.multistart_count))
+        starts = itertools.chain(starts, randoms)
     refine = config.method in ("ipfp", "mipfp")
-    visited = (_ipfp_refine(form, f, config) if refine else [(f, None)] for f in starts)
+    visited = (_ipfp_refine(form, f) if refine else [(f, None)] for f in starts)
     cost, forward = form.cheapest(itertools.chain.from_iterable(visited))
     # the plain bipartite bound between two empty graphs is their one map
-    exact = n + n2 == 0 and not refine and not random_starts
+    exact = n + n2 == 0 and config.method == "bipartite"
     return GedResult(transformation_from_forward(forward, n, n2), cost, exact)
-
-
-def ged_multistart(
-    model: CostModel, g: AttributedGraph, g2: AttributedGraph, config: GedSolverConfig
-) -> GedResult:
-    """Best result over random restarts plus the bipartite solution.
-
-    ``multistart_count`` random maximal injective maps are drawn from the
-    seeded generator and the bipartite map joins the candidate pool. With an
-    ipfp-family method every candidate is refined; with any other method
-    candidates are kept as they are. Candidates are ranked by true cost,
-    ties by lexicographic forward map, so the outcome is deterministic for a
-    given seed and independent of evaluation order.
-    """
-    return _solve(model, g, g2, config, config.multistart_count)
 
 
 def solve_ged(
@@ -402,9 +367,10 @@ def solve_ged(
     """Dispatch on ``config.method``.
 
     ``ipfp`` initializes from the bipartite solution; the multistart methods
-    add ``multistart_count`` random starts on top of it.
+    add ``multistart_count`` random starts on top of it. Candidates are
+    ranked by true cost, ties by lexicographic forward map, so the outcome
+    is deterministic for a given seed.
     """
     if config.method == "exact":
-        return ged_exact(model, g, g2, config.exact_order_cap)
-    multistart = config.method in ("mbipartite", "mipfp")
-    return _solve(model, g, g2, config, config.multistart_count if multistart else 0)
+        return ged_exact(model, g, g2)
+    return _solve(model, g, g2, config)

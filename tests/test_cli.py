@@ -127,11 +127,29 @@ def test_overflowing_total_cost_is_usage_error(method, tmp_path, capsys):
 
 
 def test_ipfp_tol_from_config_is_validated(graph_files, tmp_path, capsys):
+    # the IPFP stop, the IPFP step cap and the exact order cap are constants of the solver, not settings
     a, b = graph_files
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"ged": {"ipfp_tol": -1}}))
-    assert main(["ged", a, b, "--config", str(cfg)]) == 1
-    assert "ipfp_tol" in capsys.readouterr().err
+    for key, value in (("ipfp_tol", 1e-4), ("ipfp_max_iters", 50), ("exact_cap", 8)):
+        cfg.write_text(json.dumps({"ged": {key: value}}))
+        assert main(["ged", a, b, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: unknown config key ged.{key}\n"
+
+
+@pytest.mark.parametrize("method", ["exact", "bipartite", "ipfp", "mbipartite", "mipfp"])
+def test_negative_seed_is_usage_error(method, graph_files, capsys):
+    a, b = graph_files
+    assert main(["ged", a, b, "--method", method, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: rng_seed must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("method", ["exact", "bipartite", "mipfp"])
+def test_removal_cost_above_1e15(method, tmp_path, capsys):
+    a, b = tmp_path / "l3.gmg", tmp_path / "l1.gmg"
+    save_graph(build_graph(3, [1, 2, 1], [(0, 1, 1)]), a)
+    save_graph(build_graph(1, [1], edge_labels=True), b)
+    assert main(["ged", str(a), str(b), "--method", method, "--cost", "c_vr=1e16"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "cost 2e+16"
 
 
 def test_median_writes_deterministic_file(dataset, tmp_path, capsys):
@@ -239,7 +257,7 @@ def test_gxl_input_for_ged(tmp_path, capsys):
         ("classify", "run", "sample", None),
         ("ged", "cost", "c_vr", "x"),
         ("ged", "ged", "multistart", 2.7),
-        ("ged", "ged", "ipfp_max_iters", 1.9),
+        ("ged", "run", "max_iters", 1.9),
     ],
 )
 def test_config_value_of_wrong_type(command, section, key, value, graph_files, dataset, tmp_path, capsys):
@@ -256,7 +274,7 @@ def test_config_value_of_wrong_type(command, section, key, value, graph_files, d
     "section, key, literal",
     [
         ("ged", "multistart", "1e400"),
-        ("ged", "ipfp_tol", "-1e400"),
+        ("cost", "c_vi", "-1e400"),
         ("cost", "c_er", "NaN"),
         ("ged", "seed", "1" + "0" * 400),
     ],

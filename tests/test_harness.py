@@ -65,6 +65,11 @@ def test_experiment_config_validation():
         ExperimentConfig(model=make_cost_model(), repeats=0)
 
 
+def test_experiment_config_rejects_a_negative_seed():
+    with pytest.raises(HarnessError, match="rng_seed must be non-negative, got -1"):
+        ExperimentConfig(model=make_cost_model(), rng_seed=-1)
+
+
 @pytest.mark.parametrize("sample", [float("inf"), float("nan")])
 def test_non_finite_sample_is_rejected(sample):
     with pytest.raises(HarnessError, match="per_class_sample must be finite"):

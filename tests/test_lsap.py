@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gmedian import LsapError, build_assignment_problem, solve_lsap
-from gmedian.lsap import SENTINEL, solve_partial
+from gmedian.lsap import solve_partial
 
 from oracles import brute_lsap
 
@@ -55,9 +55,9 @@ def test_augmented_layout():
     assert c.shape == (4, 4)
     assert np.array_equal(c[:2, :2], subst)
     assert c[0, 2] == 5.0 and c[1, 3] == 6.0
-    assert c[0, 3] == SENTINEL and c[1, 2] == SENTINEL
+    assert c[0, 3] == np.inf and c[1, 2] == np.inf
     assert c[2, 0] == 7.0 and c[3, 1] == 8.0
-    assert c[3, 0] == SENTINEL and c[2, 1] == SENTINEL
+    assert c[3, 0] == np.inf and c[2, 1] == np.inf
     assert np.all(c[2:, 2:] == 0.0)
 
 
@@ -72,14 +72,29 @@ def test_augmented_solution_never_picks_sentinel():
         )
         assignment, objective = solve_lsap(c)
         assert assignment.shape == (n + n2,)
-        assert objective < SENTINEL / 2
+        assert np.isfinite(objective)
         for i in range(n + n2):
-            assert c[i, assignment[i]] < SENTINEL
+            assert c[i, assignment[i]] < np.inf
+
+
+def test_augmented_solution_avoids_forbidden_cells_beyond_any_finite_cost():
+    # finite costs this large must not be mistaken for the +inf of a forbidden cell
+    c = build_assignment_problem(np.full((3, 1), 1e16), np.full(3, 1e16), np.array([1e17]))
+    assignment, objective = solve_lsap(c)
+    assert np.isfinite(c[np.arange(4), assignment]).all()
+    # one substitution and two removals beat three removals and the insertion
+    assert objective == 3e16
+    assert sorted(assignment[:3].tolist()) == [0, 2, 3]
 
 
 def test_all_sentinel_matrix_rejected():
-    with pytest.raises(LsapError, match="sentinel"):
-        solve_lsap(np.full((2, 2), SENTINEL))
+    # +inf marks a forbidden cell, so a matrix of them has no assignment
+    with pytest.raises(LsapError, match="avoids the \\+inf cells"):
+        solve_lsap(np.full((2, 2), np.inf))
+    with pytest.raises(LsapError, match="avoids the \\+inf cells"):
+        solve_lsap(np.array([[1.0, np.inf], [2.0, np.inf]]))
+    with pytest.raises(LsapError, match="NaN or -inf"):
+        solve_lsap(np.array([[1.0, -np.inf], [2.0, 3.0]]))
 
 
 def test_rectangular_subst_shapes():
