@@ -9,6 +9,7 @@ map. :func:`edge_cost` counts each edge once per ordered pair, so
 
 from __future__ import annotations
 
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -36,6 +37,10 @@ __all__ = [
 
 class CostModelError(ValueError):
     """Invalid cost model or attribute-variant mismatch."""
+
+
+class _DistanceSumOverflow(GraphError):
+    """Squared vertex distances of a map that are finite one by one but overflow in sum."""
 
 
 @dataclass(frozen=True)
@@ -163,20 +168,19 @@ def _vertex_subst_matrix(model: CostModel, phi: np.ndarray, phi2: np.ndarray) ->
         return model.vertex_subst.cost * (phi[:, None] != phi2[None, :])
     if phi.shape[1] != phi2.shape[1]:
         raise CostModelError("vector substitution needs two equal-length vectors")
-    return _squared_differences(phi[:, None, :], phi2[None, :, :]).sum(axis=2)
+    return _squared_distances(phi[:, None, :], phi2[None, :, :])
 
 
-def _squared_differences(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``(u - v)**2`` of broadcast vectors; GraphError if a pair's squared distance overflows."""
+def _squared_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Squared distances between broadcast vectors; GraphError if one pair's overflows."""
     with np.errstate(over="ignore"):
         d = u - v
-        squares = d * d
-        dist = squares.sum(axis=-1)
+        dist = (d * d).sum(axis=-1)
     if not np.isfinite(dist).all():  # finite coordinates can still overflow
         at = tuple(np.argwhere(~np.isfinite(dist))[0])
         a, b = np.broadcast_to(u, d.shape)[at], np.broadcast_to(v, d.shape)[at]
         raise GraphError(f"squared distance between vertex vectors {a.tolist()} and {b.tolist()} overflows")
-    return squares
+    return dist
 
 
 def _vertex_term(model: CostModel, f: np.ndarray, phi: np.ndarray, phi2: np.ndarray) -> float:
@@ -185,7 +189,13 @@ def _vertex_term(model: CostModel, f: np.ndarray, phi: np.ndarray, phi2: np.ndar
     if isinstance(model.vertex_subst, LabelDelta):
         subst = model.vertex_subst.cost * np.count_nonzero(phi[sub] != phi2[targets])
     else:
-        subst = float(_squared_differences(phi[sub], phi2[targets]).sum())
+        u, v = phi[sub], phi2[targets]
+        with np.errstate(over="ignore"):
+            d = u - v
+            subst = float((d * d).sum())
+        if not math.isfinite(subst):
+            _squared_distances(u, v)  # names the pair if one overflows alone
+            raise _DistanceSumOverflow("sum of the squared vertex distances of the map overflows")
     n_sub = len(targets)
     return float(subst + model.c_vr * (len(phi) - n_sub) + model.c_vi * (len(phi2) - n_sub))
 
@@ -225,7 +235,8 @@ def _forward_costs(model: CostModel, forward: np.ndarray, g: AttributedGraph, g2
         # mismatches counted, then scaled, as forward_cost does
         vertex = model.vertex_subst.cost * np.count_nonzero(picked, axis=-1)
     else:
-        vertex = picked.sum(axis=-1)
+        with np.errstate(over="ignore"):  # a map whose distances overflow only in sum costs inf
+            vertex = picked.sum(axis=-1)
     n_sub = np.count_nonzero(forward < n2, axis=-1)
     vertex = vertex + model.c_vr * (n - n_sub) + model.c_vi * (n2 - n_sub)
     kept_edges = _kept_edges(g.adjacency, g2.adjacency, forward)

@@ -208,11 +208,12 @@ def _derive_reverse(forward: np.ndarray, source_order: int, target_order: int) -
         raise GraphError(f"forward map must have length {source_order}")
     if forward.size and (forward.min() < 0 or forward.max() > target_order):
         raise GraphError("forward entries must lie in [0, target_order]")
-    sub = forward[forward < target_order]
-    if len(np.unique(sub)) != len(sub):
-        raise GraphError("forward map substitutes one target vertex twice")
+    substituted = np.flatnonzero(forward < target_order)
     reverse = np.full(target_order, source_order, dtype=np.int64)
-    reverse[sub] = np.nonzero(forward < target_order)[0]
+    reverse[forward[substituted]] = substituted
+    # a target hit twice keeps one source, so fewer targets than sources are marked
+    if np.count_nonzero(reverse < source_order) != len(substituted):
+        raise GraphError("forward map substitutes one target vertex twice")
     return reverse
 
 

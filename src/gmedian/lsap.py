@@ -9,18 +9,57 @@ never selects a forbidden cell, however large the finite costs are.
 :func:`solve_partial` solves the same problem on the substitution block
 alone, once the removal and insertion costs are folded into it: a row is
 paired with a column only where that pays, else removed.
+
+Both call scipy's ``linear_sum_assignment`` (Crouse 2016). It is loaded
+straight from its compiled module, ``scipy.optimize._lsap``, because
+importing ``scipy.optimize`` would also load linprog, ``scipy.linalg`` and
+the rest of the package: several times the import time and memory of this
+library. Where scipy lays out no such module, or it fails to load, the
+public function is used.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import math
+import os
+import sys
+
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+import scipy  # its own set-up only (on Windows wheels, the DLL search path); no subpackage
 
 __all__ = ["LsapError", "build_assignment_problem", "solve_lsap", "solve_partial"]
 
 
 class LsapError(ValueError):
     """Malformed assignment problem or infeasible solve."""
+
+
+def _load_linear_sum_assignment():
+    """scipy's ``linear_sum_assignment``, without running ``scipy/optimize/__init__.py``."""
+    # once scipy.optimize is imported, its function costs nothing more
+    if "scipy.optimize" not in sys.modules:
+        path = [os.path.join(p, "optimize") for p in scipy.__path__]
+        spec = importlib.machinery.PathFinder.find_spec("scipy.optimize._lsap", path)
+        if spec is not None and isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
+            try:
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                found = getattr(module, "linear_sum_assignment", None)
+            except (ImportError, OSError):  # say, a shared library it links is not found
+                found = None
+            # a single-phase extension registers itself; a submodule without its package would
+            # stop a later ``import scipy.optimize`` from binding it as an attribute
+            sys.modules.pop(spec.name, None)
+            if found is not None:
+                return found
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment
+
+
+linear_sum_assignment = _load_linear_sum_assignment()
 
 
 def build_assignment_problem(
@@ -67,7 +106,11 @@ def solve_lsap(problem: np.ndarray) -> tuple[np.ndarray, float]:
         rows, cols = linear_sum_assignment(cost)
     except ValueError:  # scipy's "cost matrix is infeasible"
         raise LsapError("no feasible assignment avoids the +inf cells") from None
-    return cols, float(cost[rows, cols].sum())
+    with np.errstate(over="ignore"):
+        objective = float(cost[rows, cols].sum())
+    if not math.isfinite(objective):  # no +inf cell is selected, so the sum overflowed
+        raise LsapError("the optimal objective overflows float64")
+    return cols, objective
 
 
 def solve_partial(cost: np.ndarray) -> np.ndarray:

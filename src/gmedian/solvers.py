@@ -52,6 +52,7 @@ from . import lsap
 from .costs import (
     CostModel,
     LabelDelta,
+    _DistanceSumOverflow,
     _forward_costs,
     _vertex_subst_matrix,
     check_model_compatible,
@@ -264,8 +265,11 @@ class _QapForm:
         for forward, value in visited:
             key = tuple(forward.tolist())
             if key != best[1] and (value is None or value <= best[0] + _SCREEN_MARGIN * max(1.0, abs(best[0]))):
-                scored = (forward_cost(self.model, forward, self.g, self.g2), key)
-                best = scored if best[1] is None else min(best, scored)
+                try:
+                    cost = forward_cost(self.model, forward, self.g, self.g2)
+                except _DistanceSumOverflow:  # priced inf, as _forward_costs prices it, so it cannot win
+                    cost = np.inf
+                best = (cost, key) if best[1] is None else min(best, (cost, key))
         return best
 
 

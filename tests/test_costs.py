@@ -1,5 +1,7 @@
 """Edit cost models and transformation cost evaluation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -210,3 +212,20 @@ def test_overflowing_vector_distance_is_rejected_by_every_cost_function():
         forward_cost(model, t.forward, g, g2)
     # a map that keeps the two far vertices apart still has a finite cost
     assert forward_cost(model, np.array([2, 1]), g, g2) == 6.0
+
+
+def test_vector_distances_overflowing_in_sum_are_rejected_without_warning():
+    # each squared distance, 1.44e308, is finite; their sum over the map [0, 1] is not
+    with pytest.warns(RuntimeWarning):
+        model = make_cost_model(vertex_mode="vector", edge_mode="none")
+    g = build_graph(2, [[0.0], [0.0]], edge_labels=False)
+    g2 = build_graph(2, [[1.2e154], [-1.2e154]], edge_labels=False)
+    t = transformation_from_forward([0, 1], 2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GraphError, match="sum of the squared vertex distances of the map overflows"):
+            forward_cost(model, t.forward, g, g2)
+        with pytest.raises(GraphError, match="sum of the squared vertex distances of the map overflows"):
+            transformation_cost(model, t, g, g2)
+        # one substitution alone stays finite
+        assert forward_cost(model, np.array([0, 2]), g, g2) == pytest.approx(1.44e308 + 3.0 + 3.0)

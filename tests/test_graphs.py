@@ -140,6 +140,18 @@ def test_transformation_validation():
         )
 
 
+def test_transformation_from_forward_matches_checked_construction():
+    forward = np.array([3, 0, 4, 1], dtype=np.int64)
+    t = transformation_from_forward(forward, 4, 4)
+    checked = Transformation(forward, t.reverse, 4, 4)
+    assert t.reverse.tolist() == checked.reverse.tolist() == [1, 3, 4, 0]
+    assert (t.source_order, t.target_order) == (4, 4)
+    assert not t.forward.flags.writeable and not t.reverse.flags.writeable
+    forward[0] = 2  # the transformation keeps its own copy
+    assert t.forward.tolist() == [3, 0, 4, 1]
+    assert t.inverse().forward.tolist() == [1, 3, 4, 0]
+
+
 def test_classify_edges_example(pair):
     g, g2 = pair
     t = transformation_from_forward([0, 2, 1, 3], 4, 3)

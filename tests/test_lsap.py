@@ -1,14 +1,22 @@
 """Linear assignment solving and the augmented square layout."""
 
 import itertools
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from gmedian import LsapError, build_assignment_problem, solve_lsap
+from gmedian import LsapError, build_assignment_problem, lsap, solve_lsap
 from gmedian.lsap import solve_partial
 
 from oracles import brute_lsap
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_tiny_examples():
@@ -45,6 +53,16 @@ def test_rejects_bad_input():
         solve_lsap(np.array([[np.nan, 1.0], [1.0, 2.0]]))
     with pytest.raises(LsapError):
         solve_lsap(np.array([[np.inf]]))
+
+
+def test_overflowing_objective_rejected_without_warning():
+    # every entry is finite, but the optimal sum is beyond float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LsapError, match="objective overflows"):
+            solve_lsap(np.full((2, 2), 1e308))
+        assignment, objective = solve_lsap(np.array([[1e308, 0.0], [0.0, 1e308]]))
+    assert assignment.tolist() == [1, 0] and objective == 0.0
 
 
 def test_augmented_layout():
@@ -142,3 +160,124 @@ def test_partial_matching_rejects_non_finite(bad):
     cost = np.array([[-1.0, 0.0], [0.0, bad]])
     with pytest.raises(LsapError, match="non-finite"):
         solve_partial(cost)
+
+
+def _run_python(code):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    _run_python("import gmedian, sys; assert 'scipy.optimize' not in sys.modules, sorted(sys.modules)")
+
+
+KERNEL_MATCH = """
+import sys
+
+import numpy as np
+
+from gmedian import build_assignment_problem, lsap
+
+# gmedian comes first, and scipy.optimize is still unloaded: the kernel came from the loader's own load
+assert "scipy.optimize" not in sys.modules
+import scipy.optimize
+
+
+def cases():
+    rng = np.random.default_rng(13)
+    for shape in [(1, 1), (4, 4), (6, 6), (3, 5), (5, 3), (0, 0), (0, 2)]:
+        for _ in range(4):
+            # few distinct values, so most optima are tied
+            cost = rng.integers(0, 3, size=shape).astype(np.float64)
+            yield cost
+            if cost.size:
+                forbidden = cost.copy()
+                forbidden[rng.random(shape) < 0.2] = np.inf
+                yield forbidden
+    yield build_assignment_problem(np.zeros((2, 3)), np.zeros(2), np.zeros(3))
+
+
+checked = infeasible = 0
+for cost in cases():
+    try:
+        expected = scipy.optimize.linear_sum_assignment(cost)
+    except ValueError:  # no assignment avoids the +inf cells
+        try:
+            lsap.linear_sum_assignment(cost)
+        except ValueError:
+            infeasible += 1
+            continue
+        raise AssertionError(f"loaded kernel solved an infeasible matrix: {cost}")
+    rows, cols = lsap.linear_sum_assignment(cost)
+    assert rows.tolist() == expected[0].tolist() and cols.tolist() == expected[1].tolist(), cost
+    checked += 1
+assert checked > 40 and infeasible > 0, (checked, infeasible)
+"""
+
+
+def test_loaded_kernel_matches_scipy_public_function():
+    _run_python(KERNEL_MATCH)
+
+
+def test_loader_reuses_an_imported_scipy_optimize():
+    # scipy.optimize is imported above; its extension module must stay registered
+    extension = sys.modules["scipy.optimize._lsap"]
+    assert lsap._load_linear_sum_assignment() is scipy.optimize.linear_sum_assignment
+    assert sys.modules["scipy.optimize._lsap"] is extension
+
+
+FALLBACK = """
+import importlib.machinery
+
+real = importlib.machinery.PathFinder.find_spec
+hidden = []
+
+
+def find_spec(name, path=None, target=None):
+    # the loader's lookup finds no extension module; scipy's own import later does
+    if name == "scipy.optimize._lsap" and not hidden:
+        hidden.append(name)
+        return None
+    return real(name, path, target)
+
+
+importlib.machinery.PathFinder.find_spec = find_spec
+from gmedian import lsap
+import scipy.optimize
+
+assert hidden and lsap.linear_sum_assignment is scipy.optimize.linear_sum_assignment
+"""
+
+
+def test_loader_falls_back_to_public_function():
+    _run_python(FALLBACK)
+
+
+FAILED_LOAD = """
+import importlib.machinery
+import sys
+
+real = importlib.machinery.ExtensionFileLoader.exec_module
+failed = []
+
+
+def exec_module(self, module):
+    # the loader's own load fails, as a missing shared library would make it; scipy's import later does not
+    if module.__name__ == "scipy.optimize._lsap" and not failed:
+        failed.append(module.__name__)
+        raise ImportError("DLL load failed")
+    return real(self, module)
+
+
+importlib.machinery.ExtensionFileLoader.exec_module = exec_module
+from gmedian import lsap
+import scipy.optimize
+
+assert failed and lsap.linear_sum_assignment is scipy.optimize.linear_sum_assignment
+assert scipy.optimize._lsap is sys.modules["scipy.optimize._lsap"]
+"""
+
+
+def test_loader_falls_back_when_the_extension_fails_to_load():
+    _run_python(FAILED_LOAD)

@@ -1,6 +1,7 @@
 """Edit-distance solvers: exact enumeration, assignment bound, refinement."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -453,6 +454,21 @@ def test_edge_constants_summing_beyond_float_range_on_an_edgeless_pair():
         forward = _random_maximal_forward(np.random.default_rng(0), a.order, b.order)
         init = transformation_from_forward(forward, a.order, b.order)
         assert ged_ipfp(model, a, b, init).cost == ged_exact(model, a, b).cost == 1e308
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_maps_whose_vertex_distances_overflow_in_sum_lose_without_warning(method):
+    # every squared distance is 1.44e308: one substitution is finite, two overflow
+    with pytest.warns(RuntimeWarning):
+        model = make_cost_model(vertex_mode="vector", edge_mode="none")
+    g = build_graph(2, [[0.0], [0.0]], edge_labels=False)
+    g2 = build_graph(2, [[1.2e154], [-1.2e154]], edge_labels=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = solve_ged(model, g, g2, GedSolverConfig(method=method))
+    # removing and inserting every vertex, at 3 each
+    assert result.cost == 12.0
+    assert result.transformation.forward.tolist() == [2, 2]
 
 
 def _label_pair_with_removal_cost_1e16():
