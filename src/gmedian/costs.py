@@ -4,7 +4,9 @@ The cost of a vertex map is ``vertex term + c_er*removed + c_ei*inserted +
 c_es*mismatched``, counting undirected edges (``c_es`` is zero for
 unattributed edges); :func:`forward_cost` evaluates it from a raw forward
 map. :func:`edge_cost` counts each edge once per ordered pair, so
-:func:`transformation_cost` is ``vertex_cost + edge_cost / 2``.
+:func:`transformation_cost` is ``vertex_cost + edge_cost / 2``. A total
+that overflows raises GraphError where squared vector distances overflow,
+CostModelError where the constants do.
 """
 
 from __future__ import annotations
@@ -37,10 +39,6 @@ __all__ = [
 
 class CostModelError(ValueError):
     """Invalid cost model or attribute-variant mismatch."""
-
-
-class _DistanceSumOverflow(GraphError):
-    """Squared vertex distances of a map that are finite one by one but overflow in sum."""
 
 
 @dataclass(frozen=True)
@@ -183,19 +181,20 @@ def _squared_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _vector_subst(u: np.ndarray, v: np.ndarray) -> float:
+    """Summed squared distances of paired vectors; ``inf`` where the sum overflows."""
+    with np.errstate(over="ignore"):
+        d = u - v
+        return float((d * d).sum())
+
+
 def _vertex_term(model: CostModel, f: np.ndarray, phi: np.ndarray, phi2: np.ndarray) -> float:
     sub = f < len(phi2)
     targets = f[sub]
     if isinstance(model.vertex_subst, LabelDelta):
         subst = model.vertex_subst.cost * np.count_nonzero(phi[sub] != phi2[targets])
     else:
-        u, v = phi[sub], phi2[targets]
-        with np.errstate(over="ignore"):
-            d = u - v
-            subst = float((d * d).sum())
-        if not math.isfinite(subst):
-            _squared_distances(u, v)  # names the pair if one overflows alone
-            raise _DistanceSumOverflow("sum of the squared vertex distances of the map overflows")
+        subst = _vector_subst(phi[sub], phi2[targets])
     n_sub = len(targets)
     return float(subst + model.c_vr * (len(phi) - n_sub) + model.c_vi * (len(phi2) - n_sub))
 
@@ -210,6 +209,26 @@ def _edge_term(model: CostModel, f: np.ndarray, g: AttributedGraph, g2: Attribut
     return float(total)
 
 
+def _map_cost(model: CostModel, f: np.ndarray, g: AttributedGraph, g2: AttributedGraph) -> float:
+    """Unchecked cost of the forward map ``f``; ``inf`` where it overflows."""
+    return _vertex_term(model, f, g.vertex_attrs, g2.vertex_attrs) + _edge_term(model, f, g, g2)
+
+
+def _checked(
+    model: CostModel, total: float, f: np.ndarray, phi: np.ndarray | None = None, phi2: np.ndarray | None = None
+) -> float:
+    """``total`` if finite; else GraphError if vector distances under ``f`` overflow, CostModelError if not."""
+    if math.isfinite(total):
+        return total
+    if phi is not None and isinstance(model.vertex_subst, SquaredEuclidean):
+        sub = f < len(phi2)
+        u, v = phi[sub], phi2[f[sub]]
+        _squared_distances(u, v)  # names the pair if one overflows alone
+        if not math.isfinite(_vector_subst(u, v)):
+            raise GraphError("sum of the squared vertex distances of the map overflows")
+    raise CostModelError(f"edit cost of the map overflows under {model}")
+
+
 def forward_cost(model: CostModel, forward: np.ndarray, g: AttributedGraph, g2: AttributedGraph) -> float:
     """Cost of the raw forward map ``forward`` from ``g`` to ``g2``.
 
@@ -217,7 +236,7 @@ def forward_cost(model: CostModel, forward: np.ndarray, g: AttributedGraph, g2: 
     model must be compatible with both graphs.
     """
     f = np.asarray(forward, dtype=np.int64)
-    return _vertex_term(model, f, g.vertex_attrs, g2.vertex_attrs) + _edge_term(model, f, g, g2)
+    return _checked(model, _map_cost(model, f, g, g2), f, g.vertex_attrs, g2.vertex_attrs)
 
 
 def _forward_costs(model: CostModel, forward: np.ndarray, g: AttributedGraph, g2: AttributedGraph) -> np.ndarray:
@@ -248,10 +267,7 @@ def _forward_costs(model: CostModel, forward: np.ndarray, g: AttributedGraph, g2
     return vertex + edge
 
 
-def vertex_cost(model: CostModel, t: Transformation, phi: np.ndarray, phi2: np.ndarray) -> float:
-    """Total vertex operation cost of ``t`` between two attribute arrays."""
-    phi = np.asarray(phi)
-    phi2 = np.asarray(phi2)
+def _check_vertex_args(model: CostModel, t: Transformation, phi: np.ndarray, phi2: np.ndarray) -> None:
     if phi.shape[0] != t.source_order or phi2.shape[0] != t.target_order:
         raise CostModelError("attribute arrays do not match transformation orders")
     if isinstance(model.vertex_subst, LabelDelta):
@@ -259,20 +275,33 @@ def vertex_cost(model: CostModel, t: Transformation, phi: np.ndarray, phi2: np.n
             raise CostModelError("label substitution applied to vector attributes")
     elif phi.ndim != 2 or phi2.ndim != 2:
         raise CostModelError("vector substitution applied to label attributes")
-    return _vertex_term(model, t.forward, phi, phi2)
 
 
-def edge_cost(model: CostModel, t: Transformation, g: AttributedGraph, g2: AttributedGraph) -> float:
-    """Total edge operation cost, counting each undirected edge twice."""
+def vertex_cost(model: CostModel, t: Transformation, phi: np.ndarray, phi2: np.ndarray) -> float:
+    """Total vertex operation cost of ``t`` between two attribute arrays."""
+    phi = np.asarray(phi)
+    phi2 = np.asarray(phi2)
+    _check_vertex_args(model, t, phi, phi2)
+    return _checked(model, _vertex_term(model, t.forward, phi, phi2), t.forward, phi, phi2)
+
+
+def _check_edge_args(model: CostModel, t: Transformation, g: AttributedGraph, g2: AttributedGraph) -> None:
     if t.source_order != g.order or t.target_order != g2.order:
         raise CostModelError("transformation orders do not match the graphs")
     if isinstance(model.edge_subst, LabelDelta) and (g.edge_attrs is None or g2.edge_attrs is None):
         raise CostModelError("label substitution applied to unattributed edges")
-    return 2.0 * _edge_term(model, t.forward, g, g2)
+
+
+def edge_cost(model: CostModel, t: Transformation, g: AttributedGraph, g2: AttributedGraph) -> float:
+    """Total edge operation cost, counting each undirected edge twice."""
+    _check_edge_args(model, t, g, g2)
+    return _checked(model, 2.0 * _edge_term(model, t.forward, g, g2), t.forward)
 
 
 def transformation_cost(
     model: CostModel, t: Transformation, g: AttributedGraph, g2: AttributedGraph
 ) -> float:
     """Cost of ``t`` from ``g`` to ``g2``: vertex term plus half the edge term."""
-    return vertex_cost(model, t, g.vertex_attrs, g2.vertex_attrs) + 0.5 * edge_cost(model, t, g, g2)
+    _check_vertex_args(model, t, g.vertex_attrs, g2.vertex_attrs)
+    _check_edge_args(model, t, g, g2)
+    return forward_cost(model, t.forward, g, g2)

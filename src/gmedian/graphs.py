@@ -17,7 +17,7 @@ operations are induced by the vertex map, see :func:`classify_edges`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -219,21 +219,16 @@ def _derive_reverse(forward: np.ndarray, source_order: int, target_order: int) -
 
 @dataclass(eq=False)
 class Transformation:
-    """Vertex map between two graphs; reverse is derived from forward."""
+    """Vertex map between two graphs; ``reverse`` is derived from ``forward`` once."""
 
     forward: np.ndarray
-    reverse: np.ndarray
     source_order: int
     target_order: int
+    reverse: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        f = np.asarray(self.forward, dtype=np.int64)
-        expected = _derive_reverse(f, self.source_order, self.target_order)
-        r = np.asarray(self.reverse, dtype=np.int64)
-        if not np.array_equal(r, expected):
-            raise GraphError("reverse map inconsistent with forward map")
-        self.forward = _frozen(f)
-        self.reverse = _frozen(r)
+        self.forward = _frozen(np.asarray(self.forward, dtype=np.int64))
+        self.reverse = _frozen(_derive_reverse(self.forward, self.source_order, self.target_order))
 
     @property
     def substituted(self) -> np.ndarray:
@@ -253,7 +248,7 @@ class Transformation:
         return self.target_order - self.n_substituted
 
     def inverse(self) -> "Transformation":
-        return Transformation(self.reverse, self.forward, self.target_order, self.source_order)
+        return Transformation(self.reverse, self.target_order, self.source_order)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Transformation({self.forward.tolist()}, {self.source_order}->{self.target_order})"
@@ -263,8 +258,7 @@ def transformation_from_forward(
     forward: Sequence[int] | np.ndarray, source_order: int, target_order: int
 ) -> Transformation:
     """Build a transformation from its forward map alone."""
-    f = np.asarray(forward, dtype=np.int64)
-    return Transformation(f, _derive_reverse(f, source_order, target_order), source_order, target_order)
+    return Transformation(forward, source_order, target_order)
 
 
 def identity_transformation(order: int) -> Transformation:

@@ -18,7 +18,7 @@ import numpy as np
 from .costs import CostModel
 from .datasets import DatasetDescriptor
 from .graphs import AttributedGraph
-from .median import DescentConfig, compute_median
+from .median import DescentConfig, _child_seed, _seeded, compute_median
 from .solvers import solve_ged
 
 __all__ = [
@@ -116,14 +116,11 @@ class SodReport:
 
 
 def _derived_descent(config: ExperimentConfig, *tags: int) -> DescentConfig:
-    def child(base: int) -> int:
-        return int(np.random.SeedSequence([base, config.rng_seed, *tags]).generate_state(1)[0])
-
     d = config.descent
     return replace(
         d,
-        ged_phase1=replace(d.ged_phase1, rng_seed=child(d.ged_phase1.rng_seed)),
-        ged_phase2=replace(d.ged_phase2, rng_seed=child(d.ged_phase2.rng_seed)),
+        ged_phase1=_seeded(d.ged_phase1, config.rng_seed, *tags),
+        ged_phase2=_seeded(d.ged_phase2, config.rng_seed, *tags),
     )
 
 
@@ -215,6 +212,7 @@ def run_classification(dataset: DatasetDescriptor, config: ExperimentConfig) -> 
     per_mode_time = {m: 0.0 for m in MODES}
     per_mode_evals = {m: 0 for m in MODES}
     pt_total = 0.0
+    solver = config.descent.ged_phase2
 
     for rep in range(config.repeats):
         train: dict[str, list[AttributedGraph]] = {}
@@ -231,46 +229,30 @@ def run_classification(dataset: DatasetDescriptor, config: ExperimentConfig) -> 
             train[label] = [dataset.records[i].graph for i in sorted(chosen)]
             test.extend((ci, dataset.records[i].graph) for i in members if i not in chosen)
 
-        prototypes_sm: list[AttributedGraph] = []
-        prototypes_gm: list[AttributedGraph] = []
+        references: dict[str, list[tuple[int, AttributedGraph]]] = {"sm": [], "gm": []}
         tick = time.perf_counter()
         for ci, label in enumerate(classes):
             result = compute_median(
                 config.model, train[label], _derived_descent(config, 1, ci, rep)
             )
-            prototypes_sm.append(train[label][result.set_median_index])
-            prototypes_gm.append(result.median)
+            references["sm"].append((ci, train[label][result.set_median_index]))
+            references["gm"].append((ci, result.median))
         pt_total += time.perf_counter() - tick
+        references["ts"] = [(ci, g) for ci, label in enumerate(classes) for g in train[label]]
 
-        solver = config.descent.ged_phase2
-
-        def distance(proto: AttributedGraph, target: AttributedGraph, *tags: int) -> float:
-            seed = int(
-                np.random.SeedSequence([config.rng_seed, 2, rep, *tags]).generate_state(1)[0]
-            )
-            return solve_ged(config.model, proto, target, replace(solver, rng_seed=seed)).cost
-
-        for mode, prototypes in (("sm", prototypes_sm), ("gm", prototypes_gm)):
+        for mode, mode_tag in (("sm", 0), ("gm", 0), ("ts", 1)):
             tick = time.perf_counter()
             correct = 0
             for ti, (true_ci, tg) in enumerate(test):
-                dists = [distance(prototypes[ci], tg, 0, ti, ci) for ci in range(len(classes))]
+                dists = []
+                for ri, (_, g) in enumerate(references[mode]):
+                    seed = _child_seed(config.rng_seed, 2, rep, mode_tag, ti, ri)
+                    dists.append(solve_ged(config.model, g, tg, replace(solver, rng_seed=seed)).cost)
                 per_mode_evals[mode] += len(dists)
-                if int(np.argmin(dists)) == true_ci:
+                if references[mode][int(np.argmin(dists))][0] == true_ci:
                     correct += 1
             per_mode_time[mode] += time.perf_counter() - tick
             per_mode_acc[mode].append(100.0 * correct / len(test))
-
-        tick = time.perf_counter()
-        correct = 0
-        flat_train = [(ci, g) for ci, label in enumerate(classes) for g in train[label]]
-        for ti, (true_ci, tg) in enumerate(test):
-            dists = [distance(g, tg, 1, ti, gi) for gi, (_, g) in enumerate(flat_train)]
-            per_mode_evals["ts"] += len(dists)
-            if flat_train[int(np.argmin(dists))][0] == true_ci:
-                correct += 1
-        per_mode_time["ts"] += time.perf_counter() - tick
-        per_mode_acc["ts"].append(100.0 * correct / len(test))
 
     per_mode = {
         m: ModeResult(

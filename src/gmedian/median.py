@@ -148,8 +148,9 @@ def _child_seed(base: int, *tags: int) -> int:
     return int(np.random.SeedSequence([base, *tags]).generate_state(1)[0])
 
 
-def _seeded(config: GedSolverConfig, base: int, *tags: int) -> GedSolverConfig:
-    return replace(config, rng_seed=_child_seed(base, *tags))
+def _seeded(config: GedSolverConfig, *tags: int) -> GedSolverConfig:
+    """``config`` with a seed drawn from its own seed and ``tags``."""
+    return replace(config, rng_seed=_child_seed(config.rng_seed, *tags))
 
 
 def set_median(
@@ -169,9 +170,7 @@ def set_median(
     def solve_pair(p: int, q: int) -> GedResult:
         if p == q:
             return GedResult(identity_transformation(collection[p].order), 0.0, True)
-        return solve_ged(
-            model, collection[p], collection[q], _seeded(config, config.rng_seed, p, q)
-        )
+        return solve_ged(model, collection[p], collection[q], _seeded(config, p, q))
 
     results = [[solve_pair(p, q) for q in range(m)] for p in range(m)]
     row_sums = np.array([sum(r.cost for r in row) for row in results])
@@ -328,7 +327,7 @@ def update_transformations(
     for p, gp in enumerate(collection):
         t = transformations[p]
         cost = forward_cost(model, t.forward, median, gp)
-        cand = solve_ged(model, median, gp, _seeded(config, config.rng_seed, iteration, p))
+        cand = solve_ged(model, median, gp, _seeded(config, iteration, p))
         if cand.cost < cost - _IMPROVE_EPS:
             t, cost = cand.transformation, cand.cost
             changed += 1
@@ -359,13 +358,11 @@ def compute_median(
     sm = set_median(model, collection, config.ged_phase1)
     t_phase1 = time.perf_counter() - t0
 
-    source = collection[sm.index]
-    median = AttributedGraph(
-        source.vertex_attrs, source.adjacency, source.edge_attrs, "median"
-    )
+    # a copy of the set median, so its maps' costs and their row sum are already known
+    median = replace(collection[sm.index], graph_id="median")
     transformations = sm.transformations
-    sod_upper = sum(forward_cost(model, t.forward, median, gp) for t, gp in zip(transformations, collection))
-    trace = [IterationRecord(0, float(sod_upper), 0, 0.0)]
+    sod_upper = sm.sod
+    trace = [IterationRecord(0, sod_upper, 0, 0.0)]
     log.info("iteration=0 sod_upper=%.12g changed=0", sod_upper)
 
     t0 = time.perf_counter()
@@ -373,17 +370,16 @@ def compute_median(
     iterations = 0
     for it in range(1, config.max_iters + 1):
         tick = time.perf_counter()
-        state = MedianState(median, transformations, float(sod_upper), it)
+        state = MedianState(median, transformations, sod_upper, it)
         new_median = _updated_median(state, collection, model)
         new_ts, sod_upper, changed = update_transformations(
             new_median, transformations, collection, model, config.ged_phase2, iteration=it
         )
-        converged = graphs_equal(new_median, median, vec_tol=_VEC_TOL) and all(
-            np.array_equal(new.forward, old.forward) for new, old in zip(new_ts, transformations)
-        )
+        # a map is replaced only by a strictly cheaper, hence different, one
+        converged = changed == 0 and graphs_equal(new_median, median, vec_tol=_VEC_TOL)
         median, transformations = new_median, new_ts
         seconds = time.perf_counter() - tick
-        trace.append(IterationRecord(it, float(sod_upper), changed, seconds))
+        trace.append(IterationRecord(it, sod_upper, changed, seconds))
         log.info(
             "iteration=%d sod_upper=%.12g changed=%d seconds=%.4f", it, sod_upper, changed, seconds
         )
@@ -396,9 +392,9 @@ def compute_median(
         median=median,
         transformations=transformations,
         trace=trace,
-        sod=float(sod_upper),
+        sod=sod_upper,
         set_median_index=sm.index,
-        set_median_sod=trace[0].sod_upper,
+        set_median_sod=sm.sod,
         iterations=iterations,
         converged=converged,
         t_phase1=t_phase1,

@@ -31,8 +31,8 @@ Every other method runs one pipeline per pair of graphs:
    its relaxed value where a product gives it;
 5. keep the cheapest map, ties to the lexicographically smaller one, and
    build its :class:`Transformation`. A relaxed value is its map's cost up
-   to rounding, so :func:`costs.forward_cost` prices only maps whose value
-   is within ``_SCREEN_MARGIN`` of the best so far: no other can win.
+   to rounding, so :func:`costs.forward_cost`'s rule prices only maps whose
+   value is within ``_SCREEN_MARGIN`` of the best so far: no other can win.
 
 Every result carries a concrete transformation whose true cost is the
 reported value, so heuristic outputs are always valid upper bounds.
@@ -52,8 +52,8 @@ from . import lsap
 from .costs import (
     CostModel,
     LabelDelta,
-    _DistanceSumOverflow,
     _forward_costs,
+    _map_cost,
     _vertex_subst_matrix,
     check_model_compatible,
     forward_cost,
@@ -265,10 +265,8 @@ class _QapForm:
         for forward, value in visited:
             key = tuple(forward.tolist())
             if key != best[1] and (value is None or value <= best[0] + _SCREEN_MARGIN * max(1.0, abs(best[0]))):
-                try:
-                    cost = forward_cost(self.model, forward, self.g, self.g2)
-                except _DistanceSumOverflow:  # priced inf, as _forward_costs prices it, so it cannot win
-                    cost = np.inf
+                # unchecked: a map whose distances overflow only in sum costs inf, as in _forward_costs
+                cost = _map_cost(self.model, forward, self.g, self.g2)
                 best = (cost, key) if best[1] is None else min(best, (cost, key))
         return best
 

@@ -210,6 +210,59 @@ def test_classify_csv(dataset, tmp_path, capsys):
     capsys.readouterr()
 
 
+LETTER_STROKES = {
+    "L": ([(0.0, 2.0), (0.0, 0.0), (1.0, 0.0)], [(0, 1), (1, 2)]),
+    "T": ([(0.0, 2.0), (1.0, 2.0), (2.0, 2.0), (1.0, 0.0)], [(0, 1), (1, 2), (1, 3)]),
+    "V": ([(0.0, 2.0), (1.0, 0.0), (2.0, 2.0)], [(0, 1), (1, 2)]),
+}
+
+
+@pytest.fixture
+def letter_dataset(tmp_path):
+    """IAM-Letter-shaped files: x/y float vertices, unattributed edges, a CXL index."""
+    rng = np.random.default_rng(5)
+    prints = []
+    for letter, (points, edges) in LETTER_STROKES.items():
+        for k in range(4):
+            gid = f"{letter}{k}"
+            nodes = "\n".join(
+                f'<node id="_{v}"><attr name="x"><float>{x + rng.normal(0, 0.2)!r}</float></attr>'
+                f'<attr name="y"><float>{y + rng.normal(0, 0.2)!r}</float></attr></node>'
+                for v, (x, y) in enumerate(points)
+            )
+            edge_lines = "\n".join(f'<edge from="_{i}" to="_{j}"/>' for i, j in edges)
+            (tmp_path / f"{gid}.gxl").write_text(GXL_TEMPLATE.format(gid=gid, nodes=nodes, edges=edge_lines))
+            prints.append(f'<print file="{gid}.gxl" class="{letter}"/>')
+    index = tmp_path / "letter.cxl"
+    index.write_text(
+        '<?xml version="1.0"?><GraphCollection><fingerprints>' + "".join(prints) + "</fingerprints></GraphCollection>"
+    )
+    return str(index)
+
+
+def test_letter_shaped_sod_table_and_classify(letter_dataset, tmp_path, capsys):
+    common = ["--dataset", letter_dataset, "--multistart", "2", "--seed", "3",
+              "--cost", "c_vr=0.9,c_vi=0.9,c_er=1.7,c_ei=1.7"]
+    sod, cls = tmp_path / "sod.csv", tmp_path / "cls.csv"
+    with pytest.warns(RuntimeWarning, match="squared-distance"):
+        assert main(["sod-table", *common, "--sample", "3", "--repeats", "2", "--out", str(sod)]) == 0
+    with pytest.warns(RuntimeWarning, match="squared-distance"):
+        assert main(["classify", *common, "--sample", "2", "--out", str(cls)]) == 0
+    lines = sod.read_text().splitlines()
+    assert lines[0] == "class,repeat,sod_sm,t_sm,sod_gm,t_gm"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(r[0], r[1]) for r in rows] == [(c, rep) for c in "LTV" for rep in "01"]
+    for r in rows:
+        assert len(r) == 6 and 0.0 <= float(r[4]) <= float(r[2])
+    lines = cls.read_text().splitlines()
+    assert lines[0] == "mode,accuracy_pct,time_s,pt"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == ["sm", "gm", "ts"]
+    for r in rows:
+        assert len(r) == 4 and 0.0 <= float(r[1]) <= 100.0
+    capsys.readouterr()
+
+
 def test_dump_config_and_overrides(dataset, capsys):
     assert main(["median", "--dataset", dataset, "--dump-config", "--cost", "c_vs=2",
                  "--phase1", "bipartite", "--sample", "0.5"]) == 0

@@ -210,6 +210,8 @@ def test_overflowing_vector_distance_is_rejected_by_every_cost_function():
         transformation_cost(model, t, g, g2)
     with pytest.raises(GraphError, match=message):
         forward_cost(model, t.forward, g, g2)
+    with pytest.raises(GraphError, match=message):
+        vertex_cost(model, t, g.vertex_attrs, g2.vertex_attrs)
     # a map that keeps the two far vertices apart still has a finite cost
     assert forward_cost(model, np.array([2, 1]), g, g2) == 6.0
 
@@ -227,5 +229,26 @@ def test_vector_distances_overflowing_in_sum_are_rejected_without_warning():
             forward_cost(model, t.forward, g, g2)
         with pytest.raises(GraphError, match="sum of the squared vertex distances of the map overflows"):
             transformation_cost(model, t, g, g2)
+        with pytest.raises(GraphError, match="sum of the squared vertex distances of the map overflows"):
+            vertex_cost(model, t, g.vertex_attrs, g2.vertex_attrs)
         # one substitution alone stays finite
         assert forward_cost(model, np.array([0, 2]), g, g2) == pytest.approx(1.44e308 + 3.0 + 3.0)
+
+
+def test_overflowing_constants_are_rejected_by_every_pricing_function():
+    model = make_cost_model(c_vr=1e308)
+    g = build_graph(2, [1, 2], [(0, 1, 1)])
+    h = build_graph(0, [], edge_labels=True)
+    t = transformation_from_forward([0, 0], 2, 0)  # removes both vertices: 2e308
+    message = r"edit cost of the map overflows under CostModel\(c_vr=1e\+308, c_vi=3\.0, c_er=3\.0, c_ei=3\.0, "
+    with pytest.raises(CostModelError, match=message):
+        forward_cost(model, np.array([0, 0]), g, h)
+    with pytest.raises(CostModelError, match=message):
+        transformation_cost(model, t, g, h)
+    with pytest.raises(CostModelError, match=message):
+        vertex_cost(model, t, g.vertex_attrs, h.vertex_attrs)
+    # edge_cost counts each edge twice, so it alone overflows at c_er = 1e308
+    model = make_cost_model(c_er=1e308)
+    with pytest.raises(CostModelError, match=r"overflows under CostModel\(c_vr=3\.0, c_vi=3\.0, c_er=1e\+308"):
+        edge_cost(model, t, g, h)
+    assert transformation_cost(model, t, g, h) == forward_cost(model, t.forward, g, h) == 1e308

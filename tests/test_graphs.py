@@ -125,31 +125,39 @@ def test_identity_transformation():
 
 
 def test_transformation_validation():
-    with pytest.raises(GraphError):
-        transformation_from_forward([0, 1], 3, 3)
-    with pytest.raises(GraphError):
-        transformation_from_forward([0, 4], 2, 3)
-    with pytest.raises(GraphError):
-        transformation_from_forward([1, 1], 2, 3)
-    with pytest.raises(GraphError):
-        transformation_from_forward([-1, 0], 2, 3)
-    # stored reverse must agree with the forward map
-    with pytest.raises(GraphError):
-        Transformation(
-            np.array([0, 1], dtype=np.int64), np.array([1, 0], dtype=np.int64), 2, 2
-        )
+    for build in (transformation_from_forward, Transformation):
+        with pytest.raises(GraphError, match="must have length 3"):
+            build([0, 1], 3, 3)
+        with pytest.raises(GraphError, match="must lie in"):
+            build([0, 4], 2, 3)
+        with pytest.raises(GraphError, match="substitutes one target vertex twice"):
+            build([1, 1], 2, 3)
+        with pytest.raises(GraphError, match="must lie in"):
+            build([-1, 0], 2, 3)
+    # the reverse map is derived, never passed in
+    with pytest.raises(TypeError):
+        Transformation(np.array([0, 1]), np.array([1, 0]), 2, 2)
 
 
 def test_transformation_from_forward_matches_checked_construction():
     forward = np.array([3, 0, 4, 1], dtype=np.int64)
-    t = transformation_from_forward(forward, 4, 4)
-    checked = Transformation(forward, t.reverse, 4, 4)
-    assert t.reverse.tolist() == checked.reverse.tolist() == [1, 3, 4, 0]
-    assert (t.source_order, t.target_order) == (4, 4)
-    assert not t.forward.flags.writeable and not t.reverse.flags.writeable
+    t = Transformation(forward, 4, 4)
+    built = transformation_from_forward(forward, 4, 4)
+    for u in (t, built):
+        assert u.forward.tolist() == [3, 0, 4, 1]
+        assert u.reverse.tolist() == [1, 3, 4, 0]
+        assert (u.source_order, u.target_order) == (4, 4)
+        assert not u.forward.flags.writeable and not u.reverse.flags.writeable
+    with pytest.raises(ValueError):
+        t.reverse[0] = 2
     forward[0] = 2  # the transformation keeps its own copy
     assert t.forward.tolist() == [3, 0, 4, 1]
-    assert t.inverse().forward.tolist() == [1, 3, 4, 0]
+    inv = t.inverse()
+    assert (inv.forward.tolist(), inv.reverse.tolist()) == ([1, 3, 4, 0], [3, 0, 4, 1])
+    assert not np.shares_memory(inv.forward, t.reverse)
+    back = inv.inverse()
+    assert (back.forward.tolist(), back.reverse.tolist()) == ([3, 0, 4, 1], [1, 3, 4, 0])
+    assert (back.source_order, back.target_order) == (4, 4)
 
 
 def test_classify_edges_example(pair):

@@ -193,3 +193,50 @@ def test_classification_deterministic():
     for mode in ("sm", "gm", "ts"):
         assert a.per_mode[mode].accuracy_pct == b.per_mode[mode].accuracy_pct
         assert a.per_mode[mode].n_distance_evals == b.per_mode[mode].n_distance_evals
+
+
+def overlapping_dataset(per_class=6, seed=11):
+    """Three classes of random labeled graphs over overlapping label alphabets: not separable."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for ci, alphabet in enumerate(((1, 2, 3), (2, 3, 4), (1, 3, 4))):
+        for k in range(per_class):
+            order = int(rng.integers(3, 7))
+            labels = [int(rng.choice(alphabet)) for _ in range(order)]
+            edges = [
+                (i, j, int(rng.integers(1, 3)))
+                for i in range(order)
+                for j in range(i + 1, order)
+                if rng.random() < 0.4
+            ]
+            g = build_graph(order, labels, edges, edge_labels=True, graph_id=f"c{ci}_{k}")
+            records.append(GraphRecord(f"c{ci}_{k}", f"class{ci}", g))
+    return DatasetDescriptor("overlap", "label", 0, "label", records, None, None)
+
+
+def test_harness_outputs_pinned():
+    # every solve seed, sample and median of both experiments feeds these numbers
+    two_starts = GedSolverConfig(method="mipfp", multistart_count=2)
+    config = ExperimentConfig(
+        model=make_cost_model(),
+        descent=DescentConfig(ged_phase1=two_starts, ged_phase2=two_starts),
+        per_class_sample=3,
+        repeats=2,
+        rng_seed=1,
+    )
+    dataset = overlapping_dataset()
+    report = run_classification(dataset, config)
+    assert {mode: (r.accuracy_pct, r.n_distance_evals) for mode, r in report.per_mode.items()} == {
+        "sm": (61.11111111111111, 54),
+        "gm": (55.55555555555556, 54),
+        "ts": (55.55555555555556, 162),
+    }
+    rows = run_sod_experiment(dataset, config).rows
+    assert [(r.class_label, r.repeat, r.sod_sm, r.sod_gm) for r in rows] == [
+        ("class0", 0, 13.0, 12.0),
+        ("class0", 1, 14.0, 13.0),
+        ("class1", 0, 31.0, 28.0),
+        ("class1", 1, 30.0, 27.0),
+        ("class2", 0, 31.0, 28.0),
+        ("class2", 1, 32.0, 29.0),
+    ]

@@ -1,6 +1,7 @@
 """Set median, closed-form coordinate updates, and the descent loop."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from gmedian import (
     transformation_cost,
     transformation_from_forward,
 )
+from gmedian.costs import forward_cost
 from gmedian.graphs import AttributedGraph
 from gmedian.median import (
     MedianState,
@@ -456,3 +458,44 @@ def test_compute_median_mixed_modes_rejected():
     gv = build_graph(2, [[1.0], [2.0]], [(0, 1)])
     with pytest.raises(ValueError):
         compute_median(model, [g, gv])
+
+
+def _random_collection(vertex_mode, seed, m=5):
+    edge_mode = "label" if vertex_mode == "label" else "none"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # squared distances are unbounded
+        model = make_cost_model(vertex_mode=vertex_mode, edge_mode=edge_mode)
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, 6, size=m)
+    return model, [random_graph(rng, int(n), vertex_mode=vertex_mode, edge_mode=edge_mode) for n in sizes]
+
+
+@pytest.mark.parametrize("vertex_mode", ["label", "vector"])
+def test_trace_starts_at_the_set_median_sod(vertex_mode):
+    for seed in range(4):
+        model, collection = _random_collection(vertex_mode, seed)
+        result = compute_median(model, collection, DESCENT)
+        sm = set_median(model, collection, DESCENT.ged_phase1)
+        assert result.trace[0].sod_upper == sm.sod == result.set_median_sod
+        assert result.set_median_index == sm.index
+        # the set median's maps, priced against their own source, sum to its row sum
+        source = collection[sm.index]
+        priced = sum(forward_cost(model, t.forward, source, gp) for t, gp in zip(sm.transformations, collection))
+        assert priced == sm.sod
+
+
+@pytest.mark.parametrize("vertex_mode", ["label", "vector"])
+def test_converged_exactly_when_the_last_step_changes_nothing(vertex_mode):
+    outcomes = set()
+    for seed in range(4):
+        model, collection = _random_collection(vertex_mode, seed, m=6)
+        for max_iters in (1, 2, 100):
+            result = compute_median(model, collection, replace(DESCENT, max_iters=max_iters))
+            last = result.trace[-1]
+            if result.iterations < max_iters:  # stopped early, so on a fixed point
+                assert result.converged and last.changed == 0
+            if last.changed:
+                assert not result.converged and result.iterations == max_iters
+            outcomes.add((result.converged, last.changed > 0))
+    # both sides are exercised: a fixed point, and a cut run whose last step moved a map
+    assert {(True, False), (False, True)} <= outcomes

@@ -21,7 +21,7 @@ from gmedian import (
     transformation_from_forward,
 )
 from gmedian import solvers
-from gmedian.costs import forward_cost
+from gmedian.costs import _map_cost, forward_cost
 from gmedian.solvers import _incident_edge_matrix, _QapForm, _random_maximal_forward
 
 from oracles import (
@@ -267,9 +267,9 @@ def test_selection_prices_few_maps(monkeypatch):
 
     def counted(*args):
         calls[0] += 1
-        return forward_cost(*args)
+        return _map_cost(*args)
 
-    monkeypatch.setattr(solvers, "forward_cost", counted)
+    monkeypatch.setattr(solvers, "_map_cost", counted)
     model, pairs = _pinned_pairs("label")
     g, g2 = pairs[2]
     r = solve_ged(model, g, g2, GedSolverConfig(method="mipfp", multistart_count=6, rng_seed=5))
