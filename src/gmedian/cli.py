@@ -6,7 +6,8 @@ Subcommands: ``ged`` (distance between two graph files), ``set-median``,
 1 usage or configuration error, 2 data error. ``GMG_LOG`` sets the log
 level (e.g. ``info``, ``debug``); configuration precedence is flags over
 ``--config`` file over defaults, and ``--dump-config`` prints the resolved
-configuration as JSON without running.
+configuration as JSON without running. The defaults are the library's own except
+``run.threads`` and ``run.out``; each flag sets one ``section.key`` and is listed once, in ``FLAGS``.
 """
 
 from __future__ import annotations
@@ -37,24 +38,51 @@ from .solvers import METHODS, GedSolverConfig, solve_ged
 
 __all__ = ["main"]
 
-DEFAULTS = {
-    "cost": {"c_vs": 1.0, "c_es": 1.0, "c_vr": 3.0, "c_vi": 3.0, "c_er": 3.0, "c_ei": 3.0},
-    "ged": {
-        "method": "mipfp",
-        "phase1": "mbipartite",
-        "phase2": "mipfp",
-        "multistart": GedSolverConfig.multistart_count,
-        "seed": 0,
-    },
-    "data": {"node_kind": None, "node_attrs": None, "edge_kind": None, "edge_attr": None},
-    "run": {
-        "sample": 10.0,
-        "repeats": 1,
-        "threads": 1,  # accepted and ignored: every solve runs on one thread
-        "max_iters": 100,
-        "out": None,
-    },
-}
+
+def _library_defaults() -> dict:
+    model, solver, descent = make_cost_model(), GedSolverConfig(), DescentConfig()
+    experiment = ExperimentConfig(model)
+    return {
+        "cost": {
+            "c_vs": model.vertex_subst.cost, "c_es": model.edge_subst.cost,
+            "c_vr": model.c_vr, "c_vi": model.c_vi, "c_er": model.c_er, "c_ei": model.c_ei,
+        },
+        "ged": {
+            "method": solver.method, "multistart": solver.multistart_count, "seed": solver.rng_seed,
+            "phase1": descent.ged_phase1.method, "phase2": descent.ged_phase2.method,
+        },
+        "data": vars(ModeHints()),
+        "run": {
+            "sample": experiment.per_class_sample, "repeats": experiment.repeats, "max_iters": descent.max_iters,
+            "threads": 1,  # accepted and ignored: every solve runs on one thread
+            "out": None,
+        },
+    }
+
+
+DEFAULTS = _library_defaults()
+
+
+def _comma_list(text: str) -> list[str] | None:
+    return text.split(",") if text else None
+
+
+# (section, key, argparse options): flag --key, dashed, sets config[section][key]
+FLAGS = (
+    ("ged", "phase1", {"choices": METHODS, "help": "solver for set-median search"}),
+    ("ged", "phase2", {"choices": METHODS, "help": "solver for refinement and distances"}),
+    ("ged", "multistart", {"type": int, "metavar": "N", "help": "random starts per solve"}),
+    ("ged", "seed", {"type": int, "metavar": "N", "help": "base random seed"}),
+    ("run", "threads", {"type": int, "metavar": "N", "help": "accepted and ignored"}),
+    ("run", "sample", {"type": float, "metavar": "X", "help": "per-class count (>=1) or fraction (<1)"}),
+    ("run", "repeats", {"type": int, "metavar": "N", "help": "experiment repetitions"}),
+    ("run", "out", {"metavar": "PATH", "help": "output file"}),
+    ("run", "max_iters", {"type": int, "metavar": "N", "help": "descent iteration cap"}),
+    ("data", "node_kind", {"choices": [LABEL, VECTOR], "help": "vertex attribute kind"}),
+    ("data", "node_attrs", {"type": _comma_list, "metavar": "NAMES", "help": "comma list of GXL attr names"}),
+    ("data", "edge_kind", {"choices": [LABEL, NO_EDGE_ATTRS], "help": "edge attribute kind"}),
+    ("data", "edge_attr", {"metavar": "NAME", "help": "GXL edge label attr name"}),
+)
 
 
 class UsageError(Exception):
@@ -89,19 +117,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="JSON config file")
     parser.add_argument("--dump-config", action="store_true", help="print resolved config and exit")
     parser.add_argument("--cost", metavar="SPEC", help="comma list, e.g. c_vs=1,c_vr=3")
-    parser.add_argument("--phase1", choices=METHODS, help="solver for set-median search")
-    parser.add_argument("--phase2", choices=METHODS, help="solver for refinement and distances")
-    parser.add_argument("--multistart", type=int, metavar="N", help="random starts per solve")
-    parser.add_argument("--seed", type=int, metavar="N", help="base random seed")
-    parser.add_argument("--threads", type=int, metavar="N", help="accepted and ignored")
-    parser.add_argument("--sample", type=float, metavar="X", help="per-class count (>=1) or fraction (<1)")
-    parser.add_argument("--repeats", type=int, metavar="N", help="experiment repetitions")
-    parser.add_argument("--out", metavar="PATH", help="output file")
-    parser.add_argument("--max-iters", type=int, metavar="N", help="descent iteration cap")
-    parser.add_argument("--node-kind", choices=[LABEL, VECTOR], help="vertex attribute kind")
-    parser.add_argument("--node-attrs", metavar="NAMES", help="comma list of GXL attr names")
-    parser.add_argument("--edge-kind", choices=[LABEL, NO_EDGE_ATTRS], help="edge attribute kind")
-    parser.add_argument("--edge-attr", metavar="NAME", help="GXL edge label attr name")
+    for section, key, options in FLAGS:
+        parser.add_argument("--" + key.replace("_", "-"), dest=f"{section}.{key}", **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,18 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ged", help="edit distance between two graph files")
     p.add_argument("graph", help="source graph (.gxl or .gmg)")
     p.add_argument("graph2", help="target graph (.gxl or .gmg)")
-    p.add_argument("--method", choices=METHODS, help="solver (default: ged.method)")
+    p.add_argument("--method", dest="ged.method", choices=METHODS, help="solver (default: ged.method)")
     _add_common(p)
 
     for name, help_text in (
         ("set-median", "collection member with the smallest distance sum"),
         ("median", "full median search over a collection"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--dataset", required=True, metavar="INDEX", help="collection index file")
-        _add_common(p)
-
-    for name, help_text in (
         ("sod-table", "per-class set-median vs median distance sums"),
         ("classify", "nearest-prototype and 1-NN accuracy"),
     ):
@@ -167,24 +178,9 @@ def _resolve_config(args: argparse.Namespace) -> dict:
                 config[section][key] = value
     if args.cost:
         config["cost"].update(_parse_cost_spec(args.cost))
-    flag_map = {
-        ("ged", "phase1"): args.phase1,
-        ("ged", "phase2"): args.phase2,
-        ("ged", "multistart"): args.multistart,
-        ("ged", "seed"): args.seed,
-        ("data", "node_kind"): args.node_kind,
-        ("data", "node_attrs"): args.node_attrs.split(",") if args.node_attrs else None,
-        ("data", "edge_kind"): args.edge_kind,
-        ("data", "edge_attr"): args.edge_attr,
-        ("run", "sample"): args.sample,
-        ("run", "repeats"): args.repeats,
-        ("run", "max_iters"): args.max_iters,
-        ("run", "out"): args.out,
-    }
-    if getattr(args, "method", None):
-        config["ged"]["method"] = args.method
-    for (section, key), value in flag_map.items():
-        if value is not None:
+    for dest, value in vars(args).items():  # a flag's dest is "section.key"
+        if "." in dest and value is not None:
+            section, key = dest.split(".")
             config[section][key] = value
     return config
 
@@ -202,17 +198,6 @@ def _descent_config(config: dict) -> DescentConfig:
     )
 
 
-def _hints(config: dict) -> ModeHints | None:
-    data = config["data"]
-    if all(v is None for v in data.values()):
-        return None
-    return ModeHints(data["node_kind"], data["node_attrs"], data["edge_kind"], data["edge_attr"])
-
-
-def _model_for(config: dict, vertex_mode: str, edge_mode: str):
-    return make_cost_model(vertex_mode, edge_mode, **config["cost"])
-
-
 def _read_graph_file(path: str, config: dict, vertex_codec: LabelCodec, edge_codec: LabelCodec):
     suffix = Path(path).suffix.lower()
     if suffix == ".gmg":
@@ -221,9 +206,8 @@ def _read_graph_file(path: str, config: dict, vertex_codec: LabelCodec, edge_cod
         data = Path(path).read_bytes()
     except OSError as exc:
         raise DatasetError(f"cannot read graph file {path}: {exc}")
-    return parse_gxl(
-        data, _hints(config), vertex_codec=vertex_codec, edge_codec=edge_codec, graph_id=Path(path).stem
-    )
+    hints = ModeHints(**config["data"])
+    return parse_gxl(data, hints, vertex_codec=vertex_codec, edge_codec=edge_codec, graph_id=Path(path).stem)
 
 
 def _format_forward(t) -> str:
@@ -239,7 +223,11 @@ def _cmd_ged(args: argparse.Namespace, config: dict) -> int:
     codecs = (LabelCodec(), LabelCodec())
     g = _read_graph_file(args.graph, config, *codecs)
     g2 = _read_graph_file(args.graph2, config, *codecs)
-    model = _model_for(config, g.vertex_mode, g.edge_mode)
+    if (g.vertex_mode, g.edge_mode) != (g2.vertex_mode, g2.edge_mode) or (
+        g.order and g2.order and g.vector_dim != g2.vector_dim  # zero vertices show no vector width
+    ):
+        raise DatasetError(f"{args.graph} and {args.graph2} differ in attribute modes or vector width")
+    model = make_cost_model(g.vertex_mode, g.edge_mode, **config["cost"])
     result = solve_ged(model, g, g2, _solver_config(config, config["ged"]["method"]))
     print(f"cost {result.cost:.12g}")
     print(f"exact {'yes' if result.is_exact else 'no'}")
@@ -248,8 +236,8 @@ def _cmd_ged(args: argparse.Namespace, config: dict) -> int:
 
 
 def _load_dataset(args: argparse.Namespace, config: dict):
-    dataset = load_collection(args.dataset, _hints(config))
-    model = _model_for(config, dataset.vertex_mode, dataset.edge_mode)
+    dataset = load_collection(args.dataset, ModeHints(**config["data"]))
+    model = make_cost_model(dataset.vertex_mode, dataset.edge_mode, **config["cost"])
     return dataset, model
 
 
@@ -295,6 +283,15 @@ def _cmd_report(args: argparse.Namespace, config: dict, experiment: Callable) ->
     return 0
 
 
+_COMMANDS = {
+    "ged": _cmd_ged,
+    "set-median": _cmd_set_median,
+    "median": _cmd_median,
+    "sod-table": lambda args, config: _cmd_report(args, config, run_sod_experiment),
+    "classify": lambda args, config: _cmd_report(args, config, run_classification),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("GMG_LOG")
     if level:
@@ -312,17 +309,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.dump_config:
             print(json.dumps(config, indent=2, sort_keys=True))
             return 0
-        if args.command == "ged":
-            return _cmd_ged(args, config)
-        if args.command == "set-median":
-            return _cmd_set_median(args, config)
-        if args.command == "median":
-            return _cmd_median(args, config)
-        if args.command == "sod-table":
-            return _cmd_report(args, config, run_sod_experiment)
-        if args.command == "classify":
-            return _cmd_report(args, config, run_classification)
-        raise UsageError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args, config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -183,6 +183,8 @@ def _squared_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _vector_subst(u: np.ndarray, v: np.ndarray) -> float:
     """Summed squared distances of paired vectors; ``inf`` where the sum overflows."""
+    if not len(u):  # no pairs, so the two widths need not agree
+        return 0.0
     with np.errstate(over="ignore"):
         d = u - v
         return float((d * d).sum())
@@ -275,6 +277,8 @@ def _check_vertex_args(model: CostModel, t: Transformation, phi: np.ndarray, phi
             raise CostModelError("label substitution applied to vector attributes")
     elif phi.ndim != 2 or phi2.ndim != 2:
         raise CostModelError("vector substitution applied to label attributes")
+    elif len(phi) and len(phi2) and phi.shape[1] != phi2.shape[1]:
+        raise CostModelError("vector substitution needs two equal-length vectors")
 
 
 def vertex_cost(model: CostModel, t: Transformation, phi: np.ndarray, phi2: np.ndarray) -> float:

@@ -49,7 +49,7 @@ class ExperimentConfig:
 
     model: CostModel
     descent: DescentConfig = DescentConfig()
-    per_class_sample: float = 10
+    per_class_sample: float = 10.0
     repeats: int = 1
     rng_seed: int = 0
 

@@ -5,8 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from gmedian import build_graph, read_graph, save_graph
-from gmedian.cli import main
+from gmedian import (
+    DescentConfig,
+    ExperimentConfig,
+    GedSolverConfig,
+    ModeHints,
+    build_graph,
+    make_cost_model,
+    read_graph,
+    save_graph,
+)
+from gmedian.cli import DEFAULTS, main
 
 GXL_TEMPLATE = """<?xml version="1.0"?>
 <gxl><graph id="{gid}" edgemode="undirected">
@@ -379,3 +388,106 @@ def test_log_env(monkeypatch, graph_files, capsys):
     monkeypatch.setenv("GMG_LOG", "info")
     assert main(["ged", a, b, "--method", "exact"]) == 0
     capsys.readouterr()
+
+
+def test_ged_on_files_of_different_vertex_modes_is_data_error(tmp_path, capsys):
+    a, b = tmp_path / "label.gmg", tmp_path / "vector.gmg"
+    save_graph(build_graph(2, [1, 2], [(0, 1, 1)]), a)
+    b.write_text("gmg 1 2 vector none\nv 0 0 0\nv 1 1 1\n")
+    assert main(["ged", str(a), str(b), "--method", "exact"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(a) in err and str(b) in err
+
+
+def test_ged_on_vectors_of_different_widths_is_data_error(tmp_path, capsys):
+    a, b, empty = tmp_path / "w2.gmg", tmp_path / "w3.gmg", tmp_path / "empty.gmg"
+    a.write_text("gmg 1 2 vector none\nv 0 0 0\nv 1 1 1\n")
+    b.write_text("gmg 1 1 vector none\nv 0 0 0 0\n")
+    empty.write_text("gmg 1 0 vector none\n")
+    assert main(["ged", str(a), str(b), "--method", "exact"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(a) in err and str(b) in err
+    # a graph without vertices shows no width, so it pairs with any vector graph
+    with pytest.warns(RuntimeWarning, match="unbounded"):
+        assert main(["ged", str(empty), str(b), "--method", "exact"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "cost 3"
+
+
+# the resolved configuration without flags, as every subcommand prints it
+DEFAULT_CONFIG = {
+    "cost": {"c_ei": 3.0, "c_er": 3.0, "c_es": 1.0, "c_vi": 3.0, "c_vr": 3.0, "c_vs": 1.0},
+    "data": {"edge_attr": None, "edge_kind": None, "node_attrs": None, "node_kind": None},
+    "ged": {"method": "mipfp", "multistart": 40, "phase1": "mbipartite", "phase2": "mipfp", "seed": 0},
+    "run": {"max_iters": 100, "out": None, "repeats": 1, "sample": 10.0, "threads": 1},
+}
+COMMANDS = ["ged", "set-median", "median", "sod-table", "classify"]
+
+
+def _inputs(command):
+    return ["a.gmg", "b.gmg"] if command == "ged" else ["--dataset", "unused.cxl"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_dump_config_defaults(command, capsys):
+    # --dump-config returns before any input file is read
+    assert main([command, *_inputs(command), "--dump-config"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out) == DEFAULT_CONFIG
+    assert out == json.dumps(DEFAULT_CONFIG, indent=2, sort_keys=True) + "\n"
+
+
+# flag, value on the command line, section, key, value in the resolved config
+SETTING_FLAGS = [
+    ("--method", "exact", "ged", "method", "exact"),
+    ("--phase1", "bipartite", "ged", "phase1", "bipartite"),
+    ("--phase2", "ipfp", "ged", "phase2", "ipfp"),
+    ("--multistart", "7", "ged", "multistart", 7),
+    ("--seed", "11", "ged", "seed", 11),
+    ("--threads", "4", "run", "threads", 4),
+    ("--sample", "0.25", "run", "sample", 0.25),
+    ("--repeats", "3", "run", "repeats", 3),
+    ("--out", "o.csv", "run", "out", "o.csv"),
+    ("--max-iters", "5", "run", "max_iters", 5),
+    ("--node-kind", "vector", "data", "node_kind", "vector"),
+    ("--node-attrs", "x,y", "data", "node_attrs", ["x", "y"]),
+    ("--edge-kind", "none", "data", "edge_kind", "none"),
+    ("--edge-attr", "bond", "data", "edge_attr", "bond"),
+]
+
+
+@pytest.mark.parametrize("flag, text, section, key, value", SETTING_FLAGS, ids=[f[0] for f in SETTING_FLAGS])
+def test_each_flag_sets_its_config_key(flag, text, section, key, value, capsys):
+    command = "ged" if flag == "--method" else "median"
+    assert main([command, *_inputs(command), flag, text, "--dump-config"]) == 0
+    config = json.loads(capsys.readouterr().out)
+    assert config[section][key] == value
+    config[section][key] = DEFAULT_CONFIG[section][key]
+    assert config == DEFAULT_CONFIG  # no other setting moved
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_names_every_flag(command, capsys):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    flags = ["--config", "--dump-config", "--cost"] + [f[0] for f in SETTING_FLAGS if f[0] != "--method"]
+    flags += ["--method"] if command == "ged" else ["--dataset"]
+    for flag in flags:
+        assert f"{flag} " in out or f"{flag}\n" in out, flag
+
+
+def test_cli_defaults_are_the_library_defaults():
+    model, solver, descent = make_cost_model(), GedSolverConfig(), DescentConfig()
+    experiment = ExperimentConfig(model)
+    assert DEFAULTS["cost"] == {
+        "c_vs": model.vertex_subst.cost, "c_es": model.edge_subst.cost,
+        "c_vr": model.c_vr, "c_vi": model.c_vi, "c_er": model.c_er, "c_ei": model.c_ei,
+    }
+    assert DEFAULTS["ged"] == {
+        "method": solver.method, "phase1": descent.ged_phase1.method, "phase2": descent.ged_phase2.method,
+        "multistart": solver.multistart_count, "seed": solver.rng_seed,
+    }
+    assert DEFAULTS["data"] == vars(ModeHints())
+    assert DEFAULTS["run"]["sample"] == experiment.per_class_sample
+    assert type(DEFAULTS["run"]["sample"]) is type(experiment.per_class_sample) is float
+    assert DEFAULTS["run"]["repeats"] == experiment.repeats
+    assert DEFAULTS["run"]["max_iters"] == descent.max_iters

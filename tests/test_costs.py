@@ -252,3 +252,18 @@ def test_overflowing_constants_are_rejected_by_every_pricing_function():
     with pytest.raises(CostModelError, match=r"overflows under CostModel\(c_vr=3\.0, c_vi=3\.0, c_er=1e\+308"):
         edge_cost(model, t, g, h)
     assert transformation_cost(model, t, g, h) == forward_cost(model, t.forward, g, h) == 1e308
+
+
+def test_vectors_of_unequal_width_are_a_cost_model_error():
+    with pytest.warns(RuntimeWarning):
+        model = make_cost_model("vector", "none")
+    a = np.zeros((2, 2))
+    b = np.zeros((2, 3))
+    g, g2 = build_graph(2, a, edge_labels=False), build_graph(2, b, edge_labels=False)
+    t = transformation_from_forward([0, 1], 2, 2)
+    with pytest.raises(CostModelError, match="vector substitution needs two equal-length vectors"):
+        vertex_cost(model, t, a, b)
+    with pytest.raises(CostModelError, match="vector substitution needs two equal-length vectors"):
+        transformation_cost(model, t, g, g2)
+    # without vertices on one side there is no width to compare
+    assert vertex_cost(model, transformation_from_forward([0, 0], 2, 0), a, np.zeros((0, 3))) == 6.0
