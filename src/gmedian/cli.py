@@ -26,9 +26,9 @@ from .datasets import (
     DatasetError,
     LabelCodec,
     ModeHints,
+    _parse_gxl_files,
     load_collection,
     load_graph,
-    parse_gxl,
     save_graph,
 )
 from .graphs import LABEL, NO_EDGE_ATTRS, VECTOR, GraphError
@@ -198,18 +198,6 @@ def _descent_config(config: dict) -> DescentConfig:
     )
 
 
-def _read_graph_file(path: str, config: dict, vertex_codec: LabelCodec, edge_codec: LabelCodec):
-    suffix = Path(path).suffix.lower()
-    if suffix == ".gmg":
-        return load_graph(path)
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise DatasetError(f"cannot read graph file {path}: {exc}")
-    hints = ModeHints(**config["data"])
-    return parse_gxl(data, hints, vertex_codec=vertex_codec, edge_codec=edge_codec, graph_id=Path(path).stem)
-
-
 def _format_forward(t) -> str:
     parts = []
     for i in range(t.source_order):
@@ -219,10 +207,12 @@ def _format_forward(t) -> str:
 
 
 def _cmd_ged(args: argparse.Namespace, config: dict) -> int:
-    # one codec per attribute space, so a string label gets the same code in both files
-    codecs = (LabelCodec(), LabelCodec())
-    g = _read_graph_file(args.graph, config, *codecs)
-    g2 = _read_graph_file(args.graph2, config, *codecs)
+    paths = [Path(args.graph), Path(args.graph2)]
+    # the GXL files get one layout and one codec per attribute space, so a string label gets one code
+    gxl = [p for p in paths if p.suffix.lower() != ".gmg"]
+    parsed = iter(_parse_gxl_files(gxl, ModeHints(**config["data"]), LabelCodec(), LabelCodec())[1])
+    g, g2 = (load_graph(p) if p.suffix.lower() == ".gmg" else next(parsed) for p in paths)
+    # a .gmg header states its own modes
     if (g.vertex_mode, g.edge_mode) != (g2.vertex_mode, g2.edge_mode) or (
         g.order and g2.order and g.vector_dim != g2.vector_dim  # zero vertices show no vector width
     ):

@@ -5,7 +5,10 @@ children; attributes are ``<attr name="..."><int|float|double|string>``
 values. Node ids map to 0..n-1 in document order; edge direction is
 ignored and duplicate vertex pairs (either orientation) are rejected.
 String labels are mapped to integers starting at 1 in first-occurrence
-order across one dataset load.
+order across one dataset load. One attribute layout (vertex labels or
+vectors of one width, edge labels or none) is decided per load from the
+first node and the first edge across its files in index order, so every
+graph of a load, empty ones too, has the same modes.
 
 The native format is line-based and round-trips exactly::
 
@@ -20,6 +23,7 @@ as ``i < j``. Vector coordinates are written with full (repr) precision.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -73,12 +77,13 @@ class LabelCodec:
 
 @dataclass
 class ModeHints:
-    """How to read GXL attributes; ``None`` fields are inferred.
+    """How to read GXL attributes; ``None`` fields are inferred, each on its own.
 
     ``node_kind`` is ``"label"`` or ``"vector"``; ``node_attrs`` lists the
     attribute names to read (one for a label, the ordered coordinate names
     for a vector). ``edge_kind`` is ``"label"`` or ``"none"`` with
-    ``edge_attr`` naming the label attribute.
+    ``edge_attr`` naming the label attribute. Inferred means read off the
+    first node and the first edge of the load, as set out in ``_layout``.
     """
 
     node_kind: str | None = None
@@ -141,44 +146,44 @@ def _attr_values(element: ET.Element) -> dict[str, int | float | str]:
     return values
 
 
-def _infer_hints(node_values: dict, edge_values: dict) -> ModeHints:
-    names = list(node_values)
-    if not names:
-        raise DatasetError("cannot infer attribute modes from a node without attrs")
-    if all(isinstance(node_values[k], float) for k in names):
-        node_kind, node_attrs = VECTOR, names
-    elif len(names) == 1:
-        node_kind, node_attrs = LABEL, names
-    else:
-        raise DatasetError("cannot infer a single label among several node attrs")
-    if edge_values:
-        edge_kind, edge_attr = LABEL, next(iter(edge_values))
-    else:
-        edge_kind, edge_attr = NO_EDGE_ATTRS, None
-    return ModeHints(node_kind, node_attrs, edge_kind, edge_attr)
+def _xml(data: str | bytes, what: str = "XML") -> ET.Element:
+    try:
+        return ET.fromstring(data)
+    except ET.ParseError as exc:
+        raise DatasetError(f"malformed {what}: {exc}") from exc
 
 
-def _complete_hints(hints: ModeHints | None, root: ET.Element) -> ModeHints:
-    nodes = root.findall(".//node")
-    first_node = _attr_values(nodes[0]) if nodes else {}
-    edges = root.findall(".//edge")
-    first_edge = _attr_values(edges[0]) if edges else {}
+def _layout(hints: ModeHints | None, roots: Iterable[ET.Element]) -> ModeHints:
+    """Complete ``hints`` field by field from the first node and the first edge
+    found across the GXL ``roots``, which are read in order only while needed.
+
+    Unset node attrs are the first node's attr names: all floats make a vector,
+    a single other attr a label, and with no node anywhere vertices are labels.
+    Unset edges take the first edge's first attr as their label; with no edge
+    anywhere, or a first edge without attrs, edges carry none.
+    """
     given = hints if hints is not None else ModeHints()
-    if given.node_kind is None or given.edge_kind is None or given.node_attrs is None:
-        inferred = _infer_hints(first_node, first_edge) if nodes else ModeHints(LABEL, [], NO_EDGE_ATTRS)
-    else:
-        inferred = given
-    out = ModeHints(
-        given.node_kind or inferred.node_kind,
-        given.node_attrs if given.node_attrs is not None else inferred.node_attrs,
-        given.edge_kind or inferred.edge_kind,
-        given.edge_attr or inferred.edge_attr,
+    need_node = given.node_kind is None or not given.node_attrs
+    need_edge = given.edge_kind is None or (given.edge_kind == LABEL and given.edge_attr is None)
+    node = edge = None
+    for root in roots if need_node or need_edge else ():
+        node = root.find(".//node") if need_node and node is None else node
+        edge = root.find(".//edge") if need_edge and edge is None else edge
+        if (node is not None or not need_node) and (edge is not None or not need_edge):
+            break
+    values = _attr_values(node) if node is not None else {}
+    node_attrs = given.node_attrs or list(values)
+    node_kind = given.node_kind or (
+        VECTOR if node_attrs and all(isinstance(values.get(k), float) for k in node_attrs) else LABEL
     )
-    if out.edge_kind == LABEL and out.edge_attr is None:
-        if not first_edge:
-            raise DatasetError("edge labels requested but no edge attr name given")
-        out.edge_attr = next(iter(first_edge))
-    return out
+    if (node is not None and not node_attrs) or (node_kind == LABEL and len(node_attrs) > 1):
+        raise DatasetError(f"cannot read one label or one vector from node attrs {node_attrs}")
+    edge_values = _attr_values(edge) if edge is not None else {}
+    edge_kind = given.edge_kind or (LABEL if edge_values else NO_EDGE_ATTRS)
+    edge_attr = given.edge_attr or next(iter(edge_values), None)
+    if edge_kind == LABEL and edge is not None and edge_attr is None:
+        raise DatasetError("edge labels requested but the first edge has no attr")
+    return ModeHints(node_kind, node_attrs, edge_kind, edge_attr)
 
 
 def parse_gxl(
@@ -191,15 +196,12 @@ def parse_gxl(
 ) -> AttributedGraph:
     """Parse one GXL document into a graph.
 
-    ``hints`` selects which attributes to read (inferred from the first
-    node/edge when omitted); codecs carry string-label dictionaries across
-    the files of one dataset.
+    ``hints`` selects which attributes to read; fields left unset are
+    inferred from this document's first node and first edge. Codecs carry
+    string-label dictionaries across the files of one dataset.
     """
-    try:
-        root = ET.fromstring(data)
-    except ET.ParseError as exc:
-        raise DatasetError(f"malformed XML: {exc}") from exc
-    hints = _complete_hints(hints, root)
+    root = _xml(data)
+    layout = _layout(hints, [root])
     vertex_codec = vertex_codec if vertex_codec is not None else LabelCodec()
     edge_codec = edge_codec if edge_codec is not None else LabelCodec()
 
@@ -212,26 +214,20 @@ def parse_gxl(
             raise DatasetError(f"missing or duplicate node id {node_id!r}")
         index_of[node_id] = pos
         values = _attr_values(node)
-        if hints.node_kind == VECTOR:
+        if layout.node_kind == VECTOR:
             try:
-                attrs.append([float(values[name]) for name in hints.node_attrs])
+                attrs.append([float(values[name]) for name in layout.node_attrs])
             except KeyError as exc:
                 raise DatasetError(f"node {node_id!r} lacks attr {exc.args[0]!r}") from exc
             except ValueError as exc:
                 raise DatasetError(f"node {node_id!r} has a non-numeric coordinate") from exc
         else:
-            if hints.node_attrs:
-                name = hints.node_attrs[0]
-                if name not in values:
-                    raise DatasetError(f"node {node_id!r} lacks attr {name!r}")
-                value = values[name]
-            elif len(values) == 1:
-                value = next(iter(values.values()))
-            else:
-                raise DatasetError(f"node {node_id!r} needs exactly one label attr")
-            if isinstance(value, float):
+            name = layout.node_attrs[0]
+            if name not in values:
+                raise DatasetError(f"node {node_id!r} lacks attr {name!r}")
+            if isinstance(values[name], float):
                 raise DatasetError(f"label attr of node {node_id!r} is a float")
-            attrs.append(vertex_codec.encode(value))
+            attrs.append(vertex_codec.encode(values[name]))
 
     edges: list[tuple] = []
     for edge in root.findall(".//edge"):
@@ -239,26 +235,56 @@ def parse_gxl(
         if src not in index_of or dst not in index_of:
             raise DatasetError(f"edge endpoint {src!r} or {dst!r} is not a node id")
         i, j = index_of[src], index_of[dst]
-        if hints.edge_kind == LABEL:
+        if layout.edge_kind == LABEL:
             values = _attr_values(edge)
-            if hints.edge_attr not in values:
-                raise DatasetError(f"edge ({src!r}, {dst!r}) lacks attr {hints.edge_attr!r}")
-            value = values[hints.edge_attr]
+            if layout.edge_attr not in values:
+                raise DatasetError(f"edge ({src!r}, {dst!r}) lacks attr {layout.edge_attr!r}")
+            value = values[layout.edge_attr]
             if isinstance(value, float):
                 raise DatasetError(f"label attr of edge ({src!r}, {dst!r}) is a float")
             edges.append((i, j, edge_codec.encode(value)))
         else:
             edges.append((i, j))
+    if not nodes and layout.node_kind == VECTOR:
+        attrs = np.zeros((0, len(layout.node_attrs)))  # keeps the layout's width
     try:
         return build_graph(
             len(nodes),
             attrs,
             edges,
-            edge_labels=hints.edge_kind == LABEL,
+            edge_labels=layout.edge_kind == LABEL,
             graph_id=graph_id,
         )
     except GraphError as exc:
         raise DatasetError(str(exc)) from exc
+
+
+def _read_bytes(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise DatasetError(f"cannot read graph file {path}: {exc}") from exc
+
+
+def _parse_gxl_files(
+    paths: list[Path],
+    hints: ModeHints | None,
+    vertex_codec: LabelCodec,
+    edge_codec: LabelCodec,
+) -> tuple[ModeHints, list[AttributedGraph]]:
+    """Parse GXL files to the one layout decided from all of them in order;
+    a file is parsed a second time only while the layout lacks a node or an edge."""
+    layout = _layout(hints, (_xml(_read_bytes(path), f"XML in {path}") for path in paths))
+    graphs = []
+    for path in paths:
+        try:
+            graph = parse_gxl(
+                _read_bytes(path), layout, vertex_codec=vertex_codec, edge_codec=edge_codec, graph_id=path.stem
+            )
+        except DatasetError as exc:
+            raise DatasetError(f"{path}: {exc}") from exc
+        graphs.append(graph)
+    return layout, graphs
 
 
 def parse_collection(
@@ -270,14 +296,11 @@ def parse_collection(
     """Load a dataset from an XML index listing ``file``/``class`` entries.
 
     Every element carrying both a ``file`` and a ``class`` attribute counts
-    as one entry; files are resolved against ``base_path``. Attribute modes
-    are taken from ``hints`` or inferred from the first file and then
-    enforced over the whole collection.
+    as one entry; files are resolved against ``base_path``. One attribute
+    layout, from ``hints`` and the first node and first edge across the
+    files in index order, is applied to every file.
     """
-    try:
-        root = ET.fromstring(index_data)
-    except ET.ParseError as exc:
-        raise DatasetError(f"malformed XML index: {exc}") from exc
+    root = _xml(index_data, "XML index")
     entries = [
         (el.get("file"), el.get("class"))
         for el in root.iter()
@@ -288,43 +311,13 @@ def parse_collection(
     base = Path(base_path)
     vertex_codec = LabelCodec()
     edge_codec = LabelCodec()
-    records: list[GraphRecord] = []
-    resolved: ModeHints | None = hints
-    for file_name, class_label in entries:
-        path = base / file_name
-        try:
-            data = path.read_bytes()
-        except OSError as exc:
-            raise DatasetError(f"cannot read graph file {path}: {exc}") from exc
-        if resolved is None or resolved.node_kind is None or resolved.edge_kind is None:
-            try:
-                resolved = _complete_hints(resolved, ET.fromstring(data))
-            except ET.ParseError as exc:
-                raise DatasetError(f"malformed XML in {path}: {exc}") from exc
-        try:
-            graph = parse_gxl(
-                data,
-                resolved,
-                vertex_codec=vertex_codec,
-                edge_codec=edge_codec,
-                graph_id=Path(file_name).stem,
-            )
-        except DatasetError as exc:
-            raise DatasetError(f"{path}: {exc}") from exc
-        records.append(GraphRecord(Path(file_name).stem, class_label, graph))
-
-    first = records[0].graph
-    for rec in records:
-        if rec.graph.vertex_mode != first.vertex_mode or rec.graph.edge_mode != first.edge_mode:
-            raise DatasetError(f"graph {rec.graph_id!r} breaks the collection's attribute modes")
-        if rec.graph.vertex_mode == VECTOR and rec.graph.vector_dim != first.vector_dim:
-            raise DatasetError(f"graph {rec.graph_id!r} has a different vector dimension")
+    layout, graphs = _parse_gxl_files([base / f for f, _ in entries], hints, vertex_codec, edge_codec)
     return DatasetDescriptor(
         name=name,
-        vertex_mode=first.vertex_mode,
-        vector_dim=first.vector_dim,
-        edge_mode=first.edge_mode,
-        records=records,
+        vertex_mode=layout.node_kind,
+        vector_dim=len(layout.node_attrs) if layout.node_kind == VECTOR else 0,
+        edge_mode=layout.edge_kind,
+        records=[GraphRecord(g.graph_id, class_label, g) for g, (_, class_label) in zip(graphs, entries)],
         vertex_codec=vertex_codec,
         edge_codec=edge_codec,
     )
@@ -414,10 +407,8 @@ def read_graph(text: str, graph_id: str = "") -> AttributedGraph:
         raise DatasetError(f"missing vertex lines for {missing}")
     if vmode == VECTOR and len({len(a) for a in attrs}) > 1:
         raise DatasetError("vector lines disagree on dimension")
-    if order == 0:
-        va = np.zeros(0, dtype=np.int64) if vmode == LABEL else np.zeros((0, 1))
-        ea = np.zeros((0, 0), dtype=np.int64) if emode == LABEL else None
-        return AttributedGraph(va, np.zeros((0, 0), dtype=np.int8), ea, graph_id)
+    if order == 0 and vmode == VECTOR:
+        attrs = np.zeros((0, 1))  # the header states no width
     try:
         return build_graph(order, attrs, edges, edge_labels=emode == LABEL, graph_id=graph_id)
     except GraphError as exc:

@@ -148,11 +148,12 @@ def build_graph(
     """Construct a graph from an attribute sequence and an edge list.
 
     ``vertex_attrs`` is a sequence of ``order`` integer labels or of
-    equal-length real vectors. Each edge is ``(i, j)`` or ``(i, j, label)``
-    with distinct endpoints in ``range(order)``; at most one edge per vertex
-    pair in either orientation. ``edge_labels`` forces the edge-attribute
-    mode; by default it is inferred from the first edge tuple (an empty edge
-    list yields unattributed edges unless ``edge_labels=True``).
+    equal-length real vectors (an empty ``(0, m)`` array gives width ``m``).
+    Each edge is ``(i, j)`` or ``(i, j, label)`` with distinct endpoints in
+    ``range(order)``; at most one edge per vertex pair in either orientation.
+    ``edge_labels`` forces the edge-attribute mode; by default it is inferred
+    from the first edge tuple (an empty edge list yields unattributed edges
+    unless ``edge_labels=True``).
     """
     attrs = list(vertex_attrs)
     if len(attrs) != order:
@@ -170,7 +171,7 @@ def build_graph(
     elif attrs:
         va = np.asarray(attrs, dtype=np.float64)
     else:
-        va = np.zeros(0, dtype=np.int64)
+        va = np.zeros(np.shape(vertex_attrs)) if np.ndim(vertex_attrs) == 2 else np.zeros(0, dtype=np.int64)
 
     edge_items = [tuple(e) for e in edges]
     widths = {len(e) for e in edge_items}

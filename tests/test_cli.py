@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, deterministic outputs."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -381,6 +382,26 @@ def test_ged_reads_both_gxl_files_with_one_label_codec(tmp_path, capsys):
         (tmp_path / f"{name}.gxl").write_text(GXL_TEMPLATE.format(gid=name, nodes=node, edges=""))
     assert main(["ged", str(tmp_path / "c.gxl"), str(tmp_path / "o.gxl"), "--method", "exact"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "cost 1"
+
+
+def test_ged_decides_one_layout_from_both_gxl_files(tmp_path, capsys):
+    _write_gxl(tmp_path / "edgeless.gxl", "edgeless", [1, 2], [])
+    _write_gxl(tmp_path / "bonded.gxl", "bonded", [1, 2], [(0, 1, 3)])
+    point = '<node id="n0"><attr name="x"><float>0.5</float></attr><attr name="y"><float>1.5</float></attr></node>'
+    (tmp_path / "vector.gxl").write_text(GXL_TEMPLATE.format(gid="vector", nodes=point, edges=""))
+    (tmp_path / "empty.gxl").write_text(GXL_TEMPLATE.format(gid="empty", nodes="", edges=""))
+    for pair in (("edgeless", "bonded"), ("vector", "empty"), ("bonded", "edgeless"), ("empty", "vector")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the vector model's unbounded-cost note
+            assert main(["ged", *(str(tmp_path / f"{name}.gxl") for name in pair), "--method", "exact"]) == 0
+        # one edge or one point at the default insertion and removal cost 3
+        assert capsys.readouterr().out.splitlines()[0] == "cost 3"
+    # files that really differ still fail: labels against vectors, and a missing attr
+    mixed = ["ged", str(tmp_path / "bonded.gxl"), str(tmp_path / "vector.gxl")]
+    assert main(mixed) == 2
+    assert capsys.readouterr().err.endswith("vector.gxl: node 'n0' lacks attr 'lab'\n")
+    assert main(mixed + ["--node-kind", "vector", "--node-attrs", "x,y"]) == 2
+    assert capsys.readouterr().err.endswith("bonded.gxl: node 'n0' lacks attr 'x'\n")
 
 
 def test_log_env(monkeypatch, graph_files, capsys):

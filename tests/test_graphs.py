@@ -56,6 +56,10 @@ def test_empty_graph():
     assert g.order == 0
     assert g.n_edges == 0
     assert g.edge_list == []
+    assert g.vertex_mode == "label"
+    # an empty (0, m) array keeps its width
+    gv = build_graph(0, np.zeros((0, 3)))
+    assert (gv.vertex_mode, gv.vector_dim, gv.vertex_attrs.shape) == ("vector", 3, (0, 3))
 
 
 def test_graph_arrays_are_frozen(pair):

@@ -20,6 +20,7 @@ from gmedian import (
     save_graph,
     write_graph,
 )
+from gmedian import datasets
 from gmedian.cli import main
 
 from oracles import random_graph
@@ -39,6 +40,10 @@ POINTS = b"""<?xml version="1.0"?>
 <node id="n1"><attr name="x"><float>2.0</float></attr><attr name="y"><float>0.0</float></attr></node>
 <edge from="n0" to="n1"/>
 </graph></gxl>"""
+
+# MOL's nodes without any edge, and a GXL graph without nodes
+EDGELESS = MOL.split(b"<edge")[0] + b"</graph></gxl>"
+EMPTY = b'<gxl><graph id="e" edgemode="undirected"></graph></gxl>'
 
 
 def test_native_roundtrip_label_graph():
@@ -146,9 +151,10 @@ def test_readers_reject_vertex_labels_beyond_int64(tmp_path):
 
 
 def test_read_graph_empty_order():
-    for header in ("gmg 1 0 label label", "gmg 1 0 vector none"):
+    for header, shape in (("gmg 1 0 label label", (0,)), ("gmg 1 0 vector none", (0, 1))):
         g = read_graph(header + "\n")
         assert g.order == 0
+        assert g.vertex_attrs.shape == shape  # the header states no vector width
         assert graphs_equal(g, read_graph(write_graph(g)))
 
 
@@ -195,8 +201,14 @@ def test_parse_gxl_hint_selects_attrs():
     <node id="a"><attr name="x"><float>1.0</float></attr><attr name="t"><int>4</int></attr></node>
     <node id="b"><attr name="x"><float>2.0</float></attr><attr name="t"><int>5</int></attr></node>
     </graph></gxl>"""
-    g = parse_gxl(doc, ModeHints(node_kind="label", node_attrs=["t"], edge_kind="none"))
-    assert g.vertex_attrs.tolist() == [4, 5]
+    for hints in (
+        ModeHints(node_kind="label", node_attrs=["t"], edge_kind="none"),
+        ModeHints(node_kind="label", node_attrs=["t"]),  # only the unset fields are inferred
+        ModeHints(node_attrs=["t"]),
+    ):
+        g = parse_gxl(doc, hints)
+        assert g.vertex_attrs.tolist() == [4, 5]
+        assert g.edge_mode == "none"
     gv = parse_gxl(doc, ModeHints(node_kind="vector", node_attrs=["x"], edge_kind="none"))
     assert gv.vertex_attrs.tolist() == [[1.0], [2.0]]
 
@@ -236,6 +248,20 @@ def test_parse_gxl_errors():
                 b'<gxl><graph><node id="a"><attr name="x"><float>' + bad
                 + b"</float></attr></node></graph></gxl>"
             )
+    with pytest.raises(DatasetError, match="one label or one vector"):
+        parse_gxl(
+            b'<gxl><graph><node id="a"><attr name="l"><int>1</int></attr>'
+            b'<attr name="m"><int>2</int></attr></node></graph></gxl>'
+        )
+    with pytest.raises(DatasetError, match="one label or one vector"):
+        parse_gxl(b'<gxl><graph><node id="a"/></graph></gxl>')
+    with pytest.raises(DatasetError, match="first edge has no attr"):
+        parse_gxl(
+            b'<gxl><graph><node id="a"><attr name="l"><int>1</int></attr></node>'
+            b'<node id="b"><attr name="l"><int>2</int></attr></node>'
+            b'<edge from="a" to="b"/></graph></gxl>',
+            ModeHints(edge_kind="label"),
+        )
     with pytest.raises(DatasetError, match="non-numeric"):
         parse_gxl(
             b'<gxl><graph><node id="a"><attr name="x"><string>east</string></attr></node>'
@@ -291,6 +317,57 @@ def test_parse_collection_mode_mismatch(tmp_path):
     index = _write_dataset(tmp_path, [MOL, POINTS], ["a", "b"])
     with pytest.raises(DatasetError):
         load_collection(index)
+
+
+@pytest.mark.parametrize(
+    "docs, modes",
+    [
+        ((EDGELESS, MOL), ("label", 0, "label")),
+        ((POINTS, EMPTY), ("vector", 2, "none")),
+    ],
+    ids=["edgeless-labelled", "vector-empty"],
+)
+def test_parse_collection_layout_ignores_index_order(tmp_path, docs, modes):
+    loads = []
+    for order in (docs, docs[::-1]):
+        folder = tmp_path / str(len(loads))
+        folder.mkdir()
+        ds = load_collection(_write_dataset(folder, order, ["a", "b"]))
+        assert (ds.vertex_mode, ds.vector_dim, ds.edge_mode) == modes
+        for rec in ds.records:
+            assert (rec.graph.vertex_mode, rec.graph.vector_dim, rec.graph.edge_mode) == modes
+        loads.append({doc: rec.graph for doc, rec in zip(order, ds.records)})
+    for doc in docs:
+        assert graphs_equal(loads[0][doc], loads[1][doc])
+    if docs[1] is MOL:  # the labelled edge survives behind the edgeless file
+        assert loads[0][MOL].edge_attrs[1, 2] == 2
+    else:  # the graph without nodes keeps the collection's vector width
+        assert loads[0][EMPTY].vertex_attrs.shape == (0, 2)
+
+
+def test_parse_collection_hints_leave_the_rest_to_inference(tmp_path):
+    ds = load_collection(_write_dataset(tmp_path, [EDGELESS, MOL], ["a", "b"]), ModeHints(edge_kind="label"))
+    assert ds.edge_mode == "label"
+    assert ds.records[1].graph.edge_attrs[1, 2] == 2
+    hints = ModeHints("vector", ["x", "y"], "none", None)
+    ds = load_collection(_write_dataset(tmp_path, [EMPTY, POINTS], ["a", "b"]), hints)
+    assert ds.records[0].graph.vertex_attrs.shape == (0, 2)
+
+
+def test_parse_collection_parses_only_the_first_file_twice(tmp_path, monkeypatch):
+    calls = []
+    fromstring = datasets.ET.fromstring
+
+    def counting(data, *args, **kwargs):
+        calls.append(data)
+        return fromstring(data, *args, **kwargs)
+
+    index = _write_dataset(tmp_path, [MOL, EDGELESS, MOL], ["a", "b", "c"])
+    monkeypatch.setattr(datasets.ET, "fromstring", counting)
+    load_collection(index)
+    # the index, each file once, and the first file once more for the layout
+    assert len(calls) == 1 + 3 + 1
+    assert calls[1] == calls[2] == MOL
 
 
 def test_collection_missing_index():
