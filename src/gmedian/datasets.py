@@ -126,23 +126,23 @@ class DatasetDescriptor:
 _VALUE_TAGS = {"int": int, "integer": int, "float": float, "double": float, "string": str}
 
 
-def _attr_values(element: ET.Element) -> dict[str, int | float | str]:
+def _attr_values(element: ET.Element, where: str = "") -> dict[str, int | float | str]:
     values: dict[str, int | float | str] = {}
     for attr in element.findall("attr"):
         name = attr.get("name")
         if name is None:
-            raise DatasetError("attr element without a name")
+            raise DatasetError(f"{where}attr element without a name")
         child = next(iter(attr), None)
         if child is None:
-            raise DatasetError(f"attr {name!r} has no value element")
+            raise DatasetError(f"{where}attr {name!r} has no value element")
         tag = child.tag.lower()
         if tag not in _VALUE_TAGS:
-            raise DatasetError(f"unsupported attr value type {child.tag!r}")
+            raise DatasetError(f"{where}unsupported attr value type {child.tag!r}")
         text = (child.text or "").strip()
         try:
             values[name] = _VALUE_TAGS[tag](text)
         except ValueError as exc:
-            raise DatasetError(f"bad {tag} value {text!r} for attr {name!r}") from exc
+            raise DatasetError(f"{where}bad {tag} value {text!r} for attr {name!r}") from exc
     return values
 
 
@@ -153,36 +153,39 @@ def _xml(data: str | bytes, what: str = "XML") -> ET.Element:
         raise DatasetError(f"malformed {what}: {exc}") from exc
 
 
-def _layout(hints: ModeHints | None, roots: Iterable[ET.Element]) -> ModeHints:
-    """Complete ``hints`` field by field from the first node and the first edge
-    found across the GXL ``roots``, which are read in order only while needed.
+def _layout(hints: ModeHints | None, docs: Iterable[tuple[str, ET.Element]]) -> ModeHints:
+    """Complete ``hints`` field by field from the first node and the first edge found
+    across ``docs``, (where, GXL root) pairs read in order only while needed; an error
+    about that node or edge starts with its ``where``.
 
     Unset node attrs are the first node's attr names: all floats make a vector,
     a single other attr a label, and with no node anywhere vertices are labels.
     Unset edges take the first edge's first attr as their label; with no edge
-    anywhere, or a first edge without attrs, edges carry none.
+    anywhere, or a first edge without attrs, edges carry none, and then no
+    edge of the load may carry one (an ``edge_kind`` of none in the hints ignores them).
     """
     given = hints if hints is not None else ModeHints()
     need_node = given.node_kind is None or not given.node_attrs
     need_edge = given.edge_kind is None or (given.edge_kind == LABEL and given.edge_attr is None)
     node = edge = None
-    for root in roots if need_node or need_edge else ():
-        node = root.find(".//node") if need_node and node is None else node
-        edge = root.find(".//edge") if need_edge and edge is None else edge
+    node_at = edge_at = ""
+    for where, root in docs if need_node or need_edge else ():
+        node, node_at = (root.find(".//node"), where) if need_node and node is None else (node, node_at)
+        edge, edge_at = (root.find(".//edge"), where) if need_edge and edge is None else (edge, edge_at)
         if (node is not None or not need_node) and (edge is not None or not need_edge):
             break
-    values = _attr_values(node) if node is not None else {}
+    values = _attr_values(node, node_at) if node is not None else {}
     node_attrs = given.node_attrs or list(values)
     node_kind = given.node_kind or (
         VECTOR if node_attrs and all(isinstance(values.get(k), float) for k in node_attrs) else LABEL
     )
     if (node is not None and not node_attrs) or (node_kind == LABEL and len(node_attrs) > 1):
-        raise DatasetError(f"cannot read one label or one vector from node attrs {node_attrs}")
-    edge_values = _attr_values(edge) if edge is not None else {}
+        raise DatasetError(f"{node_at}cannot read one label or one vector from node attrs {node_attrs}")
+    edge_values = _attr_values(edge, edge_at) if edge is not None else {}
     edge_kind = given.edge_kind or (LABEL if edge_values else NO_EDGE_ATTRS)
     edge_attr = given.edge_attr or next(iter(edge_values), None)
     if edge_kind == LABEL and edge is not None and edge_attr is None:
-        raise DatasetError("edge labels requested but the first edge has no attr")
+        raise DatasetError(f"{edge_at}edge labels requested but the first edge has no attr")
     return ModeHints(node_kind, node_attrs, edge_kind, edge_attr)
 
 
@@ -201,10 +204,15 @@ def parse_gxl(
     string-label dictionaries across the files of one dataset.
     """
     root = _xml(data)
-    layout = _layout(hints, [root])
-    vertex_codec = vertex_codec if vertex_codec is not None else LabelCodec()
-    edge_codec = edge_codec if edge_codec is not None else LabelCodec()
+    codecs = vertex_codec or LabelCodec(), edge_codec or LabelCodec()
+    return _gxl_graph(root, _layout(hints, [("", root)]), hints, *codecs, graph_id)
 
+
+def _gxl_graph(
+    root: ET.Element, layout: ModeHints, hints: ModeHints | None, vertex_codec: LabelCodec,
+    edge_codec: LabelCodec, graph_id: str,
+) -> AttributedGraph:
+    """The graph of a GXL root read to a complete ``layout``, which was decided from ``hints``."""
     nodes = root.findall(".//node")
     index_of: dict[str, int] = {}
     attrs: list = []
@@ -243,6 +251,8 @@ def parse_gxl(
             if isinstance(value, float):
                 raise DatasetError(f"label attr of edge ({src!r}, {dst!r}) is a float")
             edges.append((i, j, edge_codec.encode(value)))
+        elif (hints is None or hints.edge_kind is None) and edge.find("attr") is not None:
+            raise DatasetError(f"edge ({src!r}, {dst!r}) has an attr but the first edge of the load has none")
         else:
             edges.append((i, j))
     if not nodes and layout.node_kind == VECTOR:
@@ -274,16 +284,13 @@ def _parse_gxl_files(
 ) -> tuple[ModeHints, list[AttributedGraph]]:
     """Parse GXL files to the one layout decided from all of them in order;
     a file is parsed a second time only while the layout lacks a node or an edge."""
-    layout = _layout(hints, (_xml(_read_bytes(path), f"XML in {path}") for path in paths))
+    layout = _layout(hints, ((f"{path}: ", _xml(_read_bytes(path), f"XML in {path}")) for path in paths))
     graphs = []
     for path in paths:
         try:
-            graph = parse_gxl(
-                _read_bytes(path), layout, vertex_codec=vertex_codec, edge_codec=edge_codec, graph_id=path.stem
-            )
+            graphs.append(_gxl_graph(_xml(_read_bytes(path)), layout, hints, vertex_codec, edge_codec, path.stem))
         except DatasetError as exc:
             raise DatasetError(f"{path}: {exc}") from exc
-        graphs.append(graph)
     return layout, graphs
 
 

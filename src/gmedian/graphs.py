@@ -125,9 +125,9 @@ class AttributedGraph:
     def n_edges(self) -> int:
         return len(self.edge_list)
 
-    @property
+    @cached_property
     def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1, dtype=np.int64)
+        return _frozen(self.adjacency.sum(axis=1, dtype=np.int64))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -124,6 +124,8 @@ def solve_partial(cost: np.ndarray) -> np.ndarray:
         raise LsapError("cost matrix contains non-finite entries")
     rows, cols = linear_sum_assignment(np.minimum(cost, 0.0))
     keep = cost[rows, cols] < 0
+    if len(rows) == cost.shape[0]:  # n <= n2: scipy assigns every row, in order
+        return np.where(keep, cols, cost.shape[1])
     forward = np.full(cost.shape[0], cost.shape[1], dtype=np.int64)
     forward[rows[keep]] = cols[keep]
     return forward

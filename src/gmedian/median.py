@@ -198,7 +198,8 @@ def _majority(filled: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nd
     Ties go to the smallest value; a slot no member fills gets count 0.
     """
     label, top = np.zeros((2, *filled.shape[1:]), dtype=np.int64)
-    for value in np.unique(values[filled]):  # ascending, and only a strictly higher count wins
+    # ascending, and only a strictly higher count wins; a set, as np.unique would import numpy.ma
+    for value in sorted(set(values[filled].tolist())):
         count = (filled & (values == value)).sum(axis=0)
         better = count > top
         label[better], top[better] = value, count[better]

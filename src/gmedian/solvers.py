@@ -28,7 +28,8 @@ Every other method runs one pipeline per pair of graphs:
    ``_IPFP_TOL`` times its value (Bougleux et al. 2017), or at
    ``_IPFP_MAX_ITERS`` steps. A start that ends off a map is projected back
    to one by one more partial matching. Every map visited is yielded, with
-   its relaxed value where a product gives it;
+   its relaxed value where a product gives it; a gap stop on the map the
+   iterate already sits on does not yield that map again;
 5. keep the cheapest map, ties to the lexicographically smaller one, and
    build its :class:`Transformation`. A relaxed value is its map's cost up
    to rounding, so :func:`costs.forward_cost`'s rule prices only maps whose
@@ -160,6 +161,11 @@ def _whole_edit_cost(model: CostModel, g: AttributedGraph, g2: AttributedGraph) 
     return total
 
 
+def _edge_labels(g: AttributedGraph) -> set[int]:
+    """Labels on the edges of ``g``, as a set: np.union1d and np.intersect1d would import numpy.ma."""
+    return set(g.edge_attrs[g.adjacency == 1].tolist())
+
+
 def _incident_edge_matrix(model: CostModel, g: AttributedGraph, g2: AttributedGraph) -> np.ndarray:
     """Optimal matching cost between the incident edges of every vertex pair.
 
@@ -170,7 +176,7 @@ def _incident_edge_matrix(model: CostModel, g: AttributedGraph, g2: AttributedGr
     d2 = g2.degrees[None, :]
     cost = model.c_er * np.maximum(d1 - d2, 0) + model.c_ei * np.maximum(d2 - d1, 0)
     if isinstance(model.edge_subst, LabelDelta):
-        labels = np.union1d(g.edge_attrs[g.adjacency == 1], g2.edge_attrs[g2.adjacency == 1])
+        labels = np.array(sorted(_edge_labels(g) | _edge_labels(g2)), dtype=np.int64)
         # h[lab, i]: edges with label labels[lab] incident to vertex i
         h1 = ((g.edge_attrs == labels[:, None, None]) & (g.adjacency == 1)).sum(axis=2)
         h2 = ((g2.edge_attrs == labels[:, None, None]) & (g2.adjacency == 1)).sum(axis=2)
@@ -241,7 +247,7 @@ class _QapForm:
         both = g.n_edges and g2.n_edges
         labels = []
         if both and ces:
-            labels = np.intersect1d(g.edge_attrs[g.adjacency == 1], g2.edge_attrs[g2.adjacency == 1])
+            labels = sorted(_edge_labels(g) & _edge_labels(g2))
         B = 1 + len(labels)
         lcat = np.zeros((n, B, n))
         right = np.zeros((B, n2 + 1, n2))
@@ -272,7 +278,8 @@ class _QapForm:
 
 
 def _ipfp_refine(form: _QapForm, init_forward: np.ndarray) -> Iterator[tuple[np.ndarray, float | None]]:
-    """Run the refinement from one initial map; yields every map it visits with its relaxed value."""
+    """Run the refinement from one initial map; yields every map it visits with its relaxed value,
+    but not again the map the iterate sits on when the gap stop finds it."""
     x = form.rows[init_forward]
     hx = form.product(init_forward)
     # the relaxed objective at x, lowered by each step's exact decrease
@@ -286,7 +293,8 @@ def _ipfp_refine(form: _QapForm, init_forward: np.ndarray) -> Iterator[tuple[np.
         d = b - x
         gap = float(np.vdot(grad, d))
         if gap >= -_IPFP_TOL * abs(f):
-            yield forward, None
+            if alpha != 1.0 or d.any():  # else b is the map x sits on, already yielded
+                yield forward, None
             break
         hb = form.product(forward)
         yield forward, form.c0 + float(np.vdot(form.linear, b) + 0.5 * np.vdot(b, hb))

@@ -36,6 +36,7 @@ def test_build_labeled_graph(pair):
     assert g.edge_list == [(0, 3), (1, 2), (1, 3), (2, 3)]
     assert g.n_edges == 4
     assert g.degrees.tolist() == [1, 2, 2, 3]
+    assert g.degrees is g.degrees and not g.degrees.flags.writeable  # computed once, read-only
     assert g.edge_attrs[1, 2] == g.edge_attrs[2, 1] == 1
     assert g.edge_attrs[0, 3] == 3
     assert g2.order == 3

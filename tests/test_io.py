@@ -1,5 +1,6 @@
 """Native graph format, GXL parsing, and collection indexes."""
 
+import re
 import time
 import tracemalloc
 
@@ -368,6 +369,40 @@ def test_parse_collection_parses_only_the_first_file_twice(tmp_path, monkeypatch
     # the index, each file once, and the first file once more for the layout
     assert len(calls) == 1 + 3 + 1
     assert calls[1] == calls[2] == MOL
+
+
+@pytest.mark.parametrize("element", ["node", "edge"])
+def test_parse_collection_names_the_file_of_a_bad_first_attr(tmp_path, element):
+    blob = '<attr name="l"><blob>1</blob></attr>'
+    node, edge = (blob, "") if element == "node" else ('<attr name="l"><int>1</int></attr>', blob)
+    nodes = f'<node id="a">{node}</node><node id="b">{node}</node>'
+    doc = f'<gxl><graph>{nodes}<edge from="a" to="b">{edge}</edge></graph></gxl>'
+    index = _write_dataset(tmp_path, [doc.encode()], ["a"])
+    with pytest.raises(DatasetError, match=r"g0\.gxl: unsupported attr value type 'blob'$"):
+        load_collection(index)
+
+
+NODES = b"".join(b'<node id="%s"><attr name="chem"><string>C</string></attr></node>' % v for v in (b"a", b"b"))
+BARE = b"<gxl><graph>" + NODES + b'<edge from="a" to="b"/></graph></gxl>'
+WEIGHTED = b"<gxl><graph>" + NODES + b'<edge from="a" to="b"><attr name="w"><int>2</int></attr></edge></graph></gxl>'
+
+
+@pytest.mark.parametrize("docs", [(BARE, WEIGHTED), (WEIGHTED, BARE)], ids=["bare-first", "weighted-first"])
+def test_parse_collection_first_edge_without_attrs_fails_in_either_order(tmp_path, monkeypatch, docs):
+    index = _write_dataset(tmp_path, docs, ["a", "b"])
+    # the second file breaks the rule the first file's edge set
+    fault = "has an attr but the first edge of the load has none" if docs[0] is BARE else "lacks attr 'w'"
+    with pytest.raises(DatasetError, match=re.escape(f"g1.gxl: edge ('a', 'b') {fault}")):
+        load_collection(index)
+    # an explicit edge kind of none ignores the attr, in either order, and reads no file more often
+    calls = []
+    fromstring = datasets.ET.fromstring
+    monkeypatch.setattr(datasets.ET, "fromstring", lambda data: calls.append(data) or fromstring(data))
+    ds = load_collection(index, ModeHints(edge_kind="none"))
+    assert ds.edge_mode == "none"
+    assert [rec.graph.edge_list for rec in ds.records] == [[(0, 1)], [(0, 1)]]
+    # the index, each file once, and the first file once more for the node layout
+    assert len(calls) == 1 + 2 + 1
 
 
 def test_collection_missing_index():

@@ -1,7 +1,11 @@
 """Edit-distance solvers: exact enumeration, assignment bound, refinement."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from gmedian import (
 )
 from gmedian import solvers
 from gmedian.costs import _map_cost, forward_cost
-from gmedian.solvers import _incident_edge_matrix, _QapForm, _random_maximal_forward
+from gmedian.solvers import _incident_edge_matrix, _ipfp_refine, _QapForm, _random_maximal_forward
 
 from oracles import (
     all_forwards,
@@ -277,6 +281,72 @@ def test_selection_prices_few_maps(monkeypatch):
     # maps whose relaxed value is above the best cost so far, and the best map again, are not priced;
     # pricing every distinct visited map once would take 13 calls
     assert calls[0] == 8
+
+
+def test_gap_stop_on_the_current_map_yields_it_once(pair):
+    g, _ = pair
+    form = _QapForm(make_cost_model(), g, g)
+    # the identity is a strict local optimum of a graph against itself: the first matching is the
+    # start again, and the gap stop finds no descent from it
+    visited = [(forward.tolist(), value) for forward, value in _ipfp_refine(form, np.arange(g.order))]
+    assert visited == [([0, 1, 2, 3], 0.0)]
+
+
+def test_ipfp_yields_every_map_its_matchings_reach(monkeypatch):
+    reached = []
+    solve_partial = solvers.lsap.solve_partial
+
+    def recorded(cost):
+        forward = solve_partial(cost)
+        reached.append(tuple(forward.tolist()))
+        return forward
+
+    monkeypatch.setattr(solvers.lsap, "solve_partial", recorded)
+    model = make_cost_model()
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        g, g2 = (random_graph(rng, int(rng.integers(3, 8)), edge_values=(1, 2, 3)) for _ in range(2))
+        form = _QapForm(model, g, g2)
+        for _ in range(5):
+            reached.clear()
+            refine = _ipfp_refine(form, _random_maximal_forward(rng, g.order, g2.order))
+            visited = {tuple(forward.tolist()) for forward, _ in refine}
+            # a gap stop on a new map yields it even after a full step
+            assert set(reached) <= visited
+
+
+NUMPY_MA_STAYS_UNLOADED = """
+import sys
+
+import numpy.random  # random starts draw from it
+
+if "numpy.ma" in sys.modules:  # an older numpy loads it at import
+    sys.exit(3)
+
+from gmedian import DescentConfig, GedSolverConfig, build_graph, compute_median, make_cost_model, solve_ged
+
+model = make_cost_model()
+g = build_graph(4, [1, 2, 2, 3], [(1, 2, 1), (0, 3, 3), (1, 3, 2), (2, 3, 3)])
+g2 = build_graph(3, [1, 2, 2], [(1, 2, 1), (0, 2, 4)])
+g3 = build_graph(3, [1, 3, 2], [(0, 1, 1), (1, 2, 3)])
+for method in ("ipfp", "mipfp"):
+    solve_ged(model, g, g2, GedSolverConfig(method=method, multistart_count=3))
+config = DescentConfig(GedSolverConfig("mbipartite", 2), GedSolverConfig("mipfp", 2), max_iters=3)
+compute_median(model, [g, g2, g3], config)
+loaded = sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"])
+assert not loaded, loaded
+"""
+
+
+def test_solves_and_medians_load_no_numpy_ma():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_STAYS_UNLOADED], env=env, capture_output=True, text=True, timeout=120
+    )
+    if done.returncode == 3:
+        pytest.skip("this numpy loads numpy.ma at import")
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("setting", ["default", "non-dyadic", "vector"])
