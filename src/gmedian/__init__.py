@@ -8,128 +8,91 @@ improves a set median into a generalized median together with experiment
 drivers (:mod:`gmedian.median`, :mod:`gmedian.harness`). File formats live
 in :mod:`gmedian.datasets`; the ``gmedian`` console script exposes the
 whole pipeline.
+
+Each public name is imported from its defining module on first use, so
+``import gmedian`` loads no submodule, and a distance solve loads the
+graph, cost, assignment and solver layers only.
 """
 
-from .costs import (
-    CostModel,
-    CostModelError,
-    LabelDelta,
-    SquaredEuclidean,
-    ZeroCost,
-    edge_cost,
-    make_cost_model,
-    transformation_cost,
-    vertex_cost,
-)
-from .datasets import (
-    DatasetDescriptor,
-    DatasetError,
-    GraphRecord,
-    LabelCodec,
-    ModeHints,
-    load_collection,
-    load_graph,
-    parse_collection,
-    parse_gxl,
-    read_graph,
-    save_graph,
-    write_graph,
-)
-from .graphs import (
-    LABEL,
-    NO_EDGE_ATTRS,
-    VECTOR,
-    AttributedGraph,
-    GraphError,
-    Transformation,
-    build_graph,
-    classify_edges,
-    graphs_equal,
-    identity_transformation,
-    transformation_from_forward,
-)
-from .harness import (
-    ClassificationReport,
-    ExperimentConfig,
-    HarnessError,
-    SodReport,
-    run_classification,
-    run_sod_experiment,
-)
-from .lsap import LsapError, build_assignment_problem, solve_lsap
-from .median import (
-    DescentConfig,
-    MedianResult,
-    SetMedianResult,
-    compute_median,
-    set_median,
-)
-from .solvers import (
-    METHODS,
-    GedResult,
-    GedSolverConfig,
-    SolverError,
-    ged_bipartite,
-    ged_exact,
-    ged_ipfp,
-    solve_ged,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttributedGraph",
-    "ClassificationReport",
-    "CostModel",
-    "CostModelError",
-    "DatasetDescriptor",
-    "DatasetError",
-    "DescentConfig",
-    "ExperimentConfig",
-    "GedResult",
-    "GedSolverConfig",
-    "GraphError",
-    "GraphRecord",
-    "HarnessError",
-    "LABEL",
-    "LabelCodec",
-    "LabelDelta",
-    "LsapError",
-    "METHODS",
-    "MedianResult",
-    "ModeHints",
-    "NO_EDGE_ATTRS",
-    "SetMedianResult",
-    "SodReport",
-    "SolverError",
-    "SquaredEuclidean",
-    "Transformation",
-    "VECTOR",
-    "ZeroCost",
-    "build_assignment_problem",
-    "build_graph",
-    "classify_edges",
-    "compute_median",
-    "edge_cost",
-    "ged_bipartite",
-    "ged_exact",
-    "ged_ipfp",
-    "graphs_equal",
-    "identity_transformation",
-    "load_collection",
-    "load_graph",
-    "make_cost_model",
-    "parse_collection",
-    "parse_gxl",
-    "read_graph",
-    "run_classification",
-    "run_sod_experiment",
-    "save_graph",
-    "set_median",
-    "solve_ged",
-    "solve_lsap",
-    "transformation_cost",
-    "transformation_from_forward",
-    "vertex_cost",
-    "write_graph",
-]
+# defining module -> the public names it exports
+_EXPORTS = {
+    "costs": (
+        "CostModel",
+        "CostModelError",
+        "LabelDelta",
+        "SquaredEuclidean",
+        "ZeroCost",
+        "edge_cost",
+        "make_cost_model",
+        "transformation_cost",
+        "vertex_cost",
+    ),
+    "datasets": (
+        "DatasetDescriptor",
+        "DatasetError",
+        "GraphRecord",
+        "LabelCodec",
+        "ModeHints",
+        "load_collection",
+        "load_graph",
+        "parse_collection",
+        "parse_gxl",
+        "read_graph",
+        "save_graph",
+        "write_graph",
+    ),
+    "graphs": (
+        "LABEL",
+        "NO_EDGE_ATTRS",
+        "VECTOR",
+        "AttributedGraph",
+        "GraphError",
+        "Transformation",
+        "build_graph",
+        "classify_edges",
+        "graphs_equal",
+        "identity_transformation",
+        "transformation_from_forward",
+    ),
+    "harness": (
+        "ClassificationReport",
+        "ExperimentConfig",
+        "HarnessError",
+        "SodReport",
+        "run_classification",
+        "run_sod_experiment",
+    ),
+    "lsap": ("LsapError", "build_assignment_problem", "solve_lsap"),
+    "median": ("DescentConfig", "MedianResult", "SetMedianResult", "compute_median", "set_median"),
+    "solvers": (
+        "METHODS",
+        "GedResult",
+        "GedSolverConfig",
+        "SolverError",
+        "ged_bipartite",
+        "ged_exact",
+        "ged_ipfp",
+        "solve_ged",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    # not kept here: a module that rebinds a name (say, to trace it) is seen on the next access
+    module = _MODULE_OF.get(name)
+    if module is not None:
+        return getattr(importlib.import_module(f".{module}", __name__), name)
+    if name in _EXPORTS:  # a layer module not imported yet
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

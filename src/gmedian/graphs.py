@@ -46,6 +46,24 @@ class GraphError(ValueError):
     """Malformed graph or transformation."""
 
 
+def _int64_labels(a: np.ndarray, what: str) -> np.ndarray:
+    """An integer label array as int64; any other dtype, or a value beyond int64, is an error."""
+    if not np.issubdtype(a.dtype, np.integer):
+        raise GraphError(f"{what} must be integers")
+    if a.dtype.kind == "u" and a.size and a.max() > np.iinfo(np.int64).max:
+        raise GraphError(f"{what} do not fit in 64 bits")
+    return a.astype(np.int64)
+
+
+def _int64_label(value, what: str) -> int:
+    """One integer label (not a bool) as an int that fits in int64."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise GraphError(f"{what} {value!r} is not an integer")
+    if not -(2**63) <= int(value) < 2**63:
+        raise GraphError(f"{what} {value} does not fit in 64 bits")
+    return int(value)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, copy=True)
     a.flags.writeable = False
@@ -76,9 +94,7 @@ class AttributedGraph:
         if va.dtype == object:
             raise GraphError("vertex attributes mix labels and vectors")
         if va.ndim == 1:
-            if not np.issubdtype(va.dtype, np.integer):
-                raise GraphError("vertex labels must be integers")
-            va = va.astype(np.int64)
+            va = _int64_labels(va, "vertex labels")
         elif va.ndim == 2:
             va = va.astype(np.float64)
             if not np.isfinite(va).all():
@@ -93,7 +109,7 @@ class AttributedGraph:
             ea = np.asarray(self.edge_attrs)
             if ea.shape != (n, n):
                 raise GraphError("edge attributes must be an n x n matrix")
-            ea = ea.astype(np.int64)
+            ea = _int64_labels(ea, "edge labels")
             mask = self.adjacency == 1
             if not np.array_equal(ea[mask], ea.T[mask]):
                 raise GraphError("edge attributes must be symmetric on edges")
@@ -151,6 +167,8 @@ def build_graph(
     equal-length real vectors (an empty ``(0, m)`` array gives width ``m``).
     Each edge is ``(i, j)`` or ``(i, j, label)`` with distinct endpoints in
     ``range(order)``; at most one edge per vertex pair in either orientation.
+    A label of any integer type is kept if it fits in int64; any other label
+    is a :class:`GraphError`.
     ``edge_labels`` forces the edge-attribute mode; by default it is inferred
     from the first edge tuple (an empty edge list yields unattributed edges
     unless ``edge_labels=True``).
@@ -164,10 +182,11 @@ def build_graph(
     if attrs and not all(scalar) and len({len(a) for a in attrs}) > 1:
         raise GraphError("vector attributes must share one dimension")
     if attrs and all(scalar):
-        for a in attrs:
-            if isinstance(a, int) and not -(2**63) <= a < 2**63:
-                raise GraphError(f"vertex label {a} does not fit in 64 bits")
-        va = np.asarray(attrs)
+        if all(isinstance(a, (int, np.integer)) and not isinstance(a, bool) for a in attrs):
+            # one int64 array whatever the integer types: numpy would promote uint64 and int to float
+            va = np.array([_int64_label(a, "vertex label") for a in attrs], dtype=np.int64)
+        else:
+            va = np.asarray(attrs)  # the graph rejects labels that are not integers
     elif attrs:
         va = np.asarray(attrs, dtype=np.float64)
     else:
@@ -197,10 +216,7 @@ def build_graph(
             raise GraphError(f"duplicate edge ({i}, {j})")
         adjacency[i, j] = adjacency[j, i] = 1
         if edge_labels:
-            try:
-                edge_attrs[i, j] = edge_attrs[j, i] = int(item[2])
-            except OverflowError as exc:
-                raise GraphError(f"edge label {item[2]} does not fit in 64 bits") from exc
+            edge_attrs[i, j] = edge_attrs[j, i] = _int64_label(item[2], "edge label")
     return AttributedGraph(va, adjacency, edge_attrs, graph_id)
 
 

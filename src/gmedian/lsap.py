@@ -11,11 +11,14 @@ alone, once the removal and insertion costs are folded into it: a row is
 paired with a column only where that pays, else removed.
 
 Both call scipy's ``linear_sum_assignment`` (Crouse 2016). It is loaded
-straight from its compiled module, ``scipy.optimize._lsap``, because
-importing ``scipy.optimize`` would also load linprog, ``scipy.linalg`` and
-the rest of the package: several times the import time and memory of this
-library. Where scipy lays out no such module, or it fails to load, the
-public function is used.
+straight from its compiled module, ``scipy.optimize._lsap``, found through
+scipy's directory, because importing ``scipy.optimize`` would also load
+linprog, ``scipy.linalg`` and the rest of the package: several times the
+import time and memory of this library. Nor does ``scipy/__init__.py``
+run, unless the module fails to load without it: then scipy's package
+set-up runs (on Windows wheels, it puts ``scipy.libs`` on the DLL search
+path) and the load is tried once more. Where scipy lays out no such
+module, or it still fails to load, the public function is used.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import os
 import sys
 
 import numpy as np
-import scipy  # its own set-up only (on Windows wheels, the DLL search path); no subpackage
 
 __all__ = ["LsapError", "build_assignment_problem", "solve_lsap", "solve_partial"]
 
@@ -36,24 +38,43 @@ class LsapError(ValueError):
     """Malformed assignment problem or infeasible solve."""
 
 
+def _load_kernel():
+    """``linear_sum_assignment`` from ``scipy.optimize._lsap`` alone, or None where there is no such module.
+
+    Raises ImportError or OSError where the module is found but fails to load.
+    """
+    scipy_spec = importlib.util.find_spec("scipy")  # finds the package, runs none of it
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        return None
+    path = [os.path.join(p, "optimize") for p in scipy_spec.submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec("scipy.optimize._lsap", path)
+    if spec is None or not isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
+        return None
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        # a single-phase extension registers itself; a submodule without its package would
+        # stop a later ``import scipy.optimize`` from binding it as an attribute
+        sys.modules.pop(spec.name, None)
+    return getattr(module, "linear_sum_assignment", None)
+
+
 def _load_linear_sum_assignment():
     """scipy's ``linear_sum_assignment``, without running ``scipy/optimize/__init__.py``."""
     # once scipy.optimize is imported, its function costs nothing more
     if "scipy.optimize" not in sys.modules:
-        path = [os.path.join(p, "optimize") for p in scipy.__path__]
-        spec = importlib.machinery.PathFinder.find_spec("scipy.optimize._lsap", path)
-        if spec is not None and isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
+        try:
+            found = _load_kernel()
+        except (ImportError, OSError):  # say, a shared library it links is not found
+            import scipy  # noqa: F401  its set-up only (on Windows wheels, the DLL search path)
+
             try:
-                module = importlib.util.module_from_spec(spec)
-                spec.loader.exec_module(module)
-                found = getattr(module, "linear_sum_assignment", None)
-            except (ImportError, OSError):  # say, a shared library it links is not found
+                found = _load_kernel()
+            except (ImportError, OSError):
                 found = None
-            # a single-phase extension registers itself; a submodule without its package would
-            # stop a later ``import scipy.optimize`` from binding it as an attribute
-            sys.modules.pop(spec.name, None)
-            if found is not None:
-                return found
+        if found is not None:
+            return found
     from scipy.optimize import linear_sum_assignment
 
     return linear_sum_assignment

@@ -209,3 +209,52 @@ def test_graphs_equal_ignores_offedge_attrs():
     a = AttributedGraph(np.array([1, 1]), adj, np.array([[0, 5], [5, 0]], dtype=np.int64))
     b = AttributedGraph(np.array([1, 1]), adj, np.array([[7, 5], [5, 7]], dtype=np.int64))
     assert graphs_equal(a, b)
+
+
+def test_attributed_graph_rejects_non_integer_edge_labels():
+    adj = np.array([[0, 1], [1, 0]], dtype=np.int8)
+    # 1.5 and 1.7 were both stored as 1, and the two graphs compared equal
+    for label in (1.5, 1.7, 2.0):
+        with pytest.raises(GraphError, match="edge labels must be integers"):
+            AttributedGraph(np.array([1, 2]), adj, np.array([[0, label], [label, 0]]))
+    with pytest.raises(GraphError, match="edge labels must be integers"):
+        AttributedGraph(np.array([1, 2]), adj, np.array([[False, True], [True, False]]))
+    g = AttributedGraph(np.array([1, 2]), adj, np.array([[0, 3], [3, 0]], dtype=np.int16))
+    assert g.edge_attrs.dtype == np.int64 and g.edge_attrs.tolist() == [[0, 3], [3, 0]]
+
+
+def test_build_graph_rejects_non_integer_edge_labels():
+    for label in (2.5, 2.0, np.float64(2.0), "2", True):
+        with pytest.raises(GraphError, match="is not an integer"):
+            build_graph(2, [1, 2], [(0, 1, label)])
+    for label in (2, np.int8(2), np.uint64(2)):
+        g = build_graph(2, [1, 2], [(0, 1, label)])
+        assert g.edge_attrs.dtype == np.int64 and g.edge_attrs[0, 1] == 2
+
+
+@pytest.mark.parametrize("label", [np.uint64(2**64 - 1), np.uint64(2**63), 2**63, -(2**63) - 1])
+def test_build_graph_rejects_labels_beyond_int64(label):
+    # uint64 labels used to wrap: 2**64 - 1 was stored as -1
+    with pytest.raises(GraphError, match="vertex label .* does not fit in 64 bits"):
+        build_graph(2, [label, np.uint64(5)])
+    with pytest.raises(GraphError, match="edge label .* does not fit in 64 bits"):
+        build_graph(2, [1, 2], [(0, 1, label)])
+
+
+def test_build_graph_keeps_every_int64_label_whatever_its_type():
+    g = build_graph(3, [np.uint64(2**63 - 1), -(2**63), np.int8(-1)], [(0, 1, np.uint64(2**63 - 1))])
+    assert g.vertex_attrs.tolist() == [2**63 - 1, -(2**63), -1]
+    assert g.edge_attrs[0, 1] == 2**63 - 1
+    # numpy alone would promote uint64 and a negative int to float
+    assert build_graph(2, [np.uint64(5), -1]).vertex_attrs.tolist() == [5, -1]
+
+
+def test_attributed_graph_rejects_uint64_labels_beyond_int64():
+    adj = np.array([[0, 1], [1, 0]], dtype=np.int8)
+    with pytest.raises(GraphError, match="vertex labels do not fit in 64 bits"):
+        AttributedGraph(np.array([2**64 - 1, 5], dtype=np.uint64), adj)
+    with pytest.raises(GraphError, match="edge labels do not fit in 64 bits"):
+        AttributedGraph(np.array([1, 2]), adj, np.array([[0, 2**63], [2**63, 0]], dtype=np.uint64))
+    top = 2**63 - 1
+    g = AttributedGraph(np.array([top, 5], dtype=np.uint64), adj, np.array([[0, top], [top, 0]], dtype=np.uint64))
+    assert g.vertex_attrs.tolist() == [top, 5] and g.edge_attrs[0, 1] == top

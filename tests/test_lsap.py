@@ -281,3 +281,62 @@ assert scipy.optimize._lsap is sys.modules["scipy.optimize._lsap"]
 
 def test_loader_falls_back_when_the_extension_fails_to_load():
     _run_python(FAILED_LOAD)
+
+
+RETRIED_LOAD = """
+import importlib.machinery
+import sys
+
+import numpy as np
+
+real = importlib.machinery.ExtensionFileLoader.exec_module
+failed = []
+
+
+def exec_module(self, module):
+    # the first bare load fails, as where the kernel's shared libraries are found only after scipy's set-up
+    if module.__name__ == "scipy.optimize._lsap" and not failed:
+        failed.append(module.__name__)
+        raise ImportError("DLL load failed")
+    return real(self, module)
+
+
+importlib.machinery.ExtensionFileLoader.exec_module = exec_module
+from gmedian import lsap
+
+# the second load, after scipy's own set-up, still skips scipy.optimize
+assert failed and "scipy" in sys.modules and "scipy.optimize" not in sys.modules, failed
+assignment, objective = lsap.solve_lsap(np.array([[4.0, 1.0], [2.0, 3.0]]))
+assert assignment.tolist() == [1, 0] and objective == 3.0
+"""
+
+
+def test_loader_retries_after_scipy_set_up():
+    _run_python(RETRIED_LOAD)
+
+
+TWICE_FAILED_LOAD = """
+import importlib.machinery
+
+real = importlib.machinery.ExtensionFileLoader.exec_module
+failed = []
+
+
+def exec_module(self, module):
+    # both bare loads fail; the one inside scipy.optimize's import does not
+    if module.__name__ == "scipy.optimize._lsap" and len(failed) < 2:
+        failed.append(module.__name__)
+        raise ImportError("DLL load failed")
+    return real(self, module)
+
+
+importlib.machinery.ExtensionFileLoader.exec_module = exec_module
+from gmedian import lsap
+import scipy.optimize
+
+assert len(failed) == 2 and lsap.linear_sum_assignment is scipy.optimize.linear_sum_assignment
+"""
+
+
+def test_loader_falls_back_when_the_retry_fails_too():
+    _run_python(TWICE_FAILED_LOAD)
