@@ -145,6 +145,10 @@ class AttributedGraph:
     def degrees(self) -> np.ndarray:
         return _frozen(self.adjacency.sum(axis=1, dtype=np.int64))
 
+    def __reduce__(self):
+        # a copy or an unpickled graph goes through the constructor's checks and is read-only again
+        return (AttributedGraph, (self.vertex_attrs, self.adjacency, self.edge_attrs, self.graph_id))
+
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"AttributedGraph(order={self.order}, edges={self.n_edges}, "
@@ -234,18 +238,32 @@ def _derive_reverse(forward: np.ndarray, source_order: int, target_order: int) -
     return reverse
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Transformation:
-    """Vertex map between two graphs; ``reverse`` is derived from ``forward`` once."""
+    """Vertex map between two graphs, stored as its read-only ``forward`` array.
+
+    The constructor checks that ``forward`` is a valid map; ``reverse`` is
+    derived from it on first read and then kept, read-only.
+    """
 
     forward: np.ndarray
     source_order: int
     target_order: int
-    reverse: np.ndarray = field(init=False)
+    _reverse: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.forward = _frozen(np.asarray(self.forward, dtype=np.int64))
-        self.reverse = _frozen(_derive_reverse(self.forward, self.source_order, self.target_order))
+        _derive_reverse(self.forward, self.source_order, self.target_order)
+
+    @property
+    def reverse(self) -> np.ndarray:
+        if self._reverse is None:
+            self._reverse = _frozen(_derive_reverse(self.forward, self.source_order, self.target_order))
+        return self._reverse
+
+    def __reduce__(self):
+        # a copy or an unpickled map goes through the constructor's checks and is read-only again
+        return (Transformation, (self.forward, self.source_order, self.target_order))
 
     @property
     def substituted(self) -> np.ndarray:

@@ -19,7 +19,7 @@ from .costs import CostModel
 from .datasets import DatasetDescriptor
 from .graphs import AttributedGraph
 from .median import DescentConfig, _child_seed, _seeded, compute_median
-from .solvers import solve_ged
+from .solvers import _check_whole, solve_ged
 
 __all__ = [
     "HarnessError",
@@ -58,6 +58,7 @@ class ExperimentConfig:
             raise HarnessError(f"per_class_sample must be finite and positive, got {self.per_class_sample!r}")
         if self.per_class_sample >= 1.0 and self.per_class_sample != int(self.per_class_sample):
             raise HarnessError(f"per_class_sample of 1 or more must be a whole count, got {self.per_class_sample!r}")
+        _check_whole(HarnessError, repeats=self.repeats, rng_seed=self.rng_seed)
         if self.repeats < 1:
             raise HarnessError("repeats must be at least 1")
         if self.rng_seed < 0:

@@ -29,7 +29,7 @@ from .graphs import (
     graphs_equal,
     identity_transformation,
 )
-from .solvers import GedResult, GedSolverConfig, solve_ged
+from .solvers import GedResult, GedSolverConfig, _check_whole, solve_ged
 
 __all__ = [
     "DescentConfig",
@@ -63,6 +63,7 @@ class DescentConfig:
     max_iters: int = 100
 
     def __post_init__(self) -> None:
+        _check_whole(ValueError, max_iters=self.max_iters)
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 

@@ -79,6 +79,13 @@ class SolverError(ValueError):
     """Unusable solver configuration or input."""
 
 
+def _check_whole(error: type[Exception], **settings) -> None:
+    """Raise ``error`` naming the first setting that is not an integer; a bool is none."""
+    for name, value in settings.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise error(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GedSolverConfig:
     """The method, and the count and seed of the random starts of ``mbipartite`` and ``mipfp``."""
@@ -90,13 +97,14 @@ class GedSolverConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise SolverError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        _check_whole(SolverError, multistart_count=self.multistart_count, rng_seed=self.rng_seed)
         if self.multistart_count < 1:
             raise SolverError("multistart_count must be at least 1")
         if self.rng_seed < 0:
             raise SolverError(f"rng_seed must be non-negative, got {self.rng_seed!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class GedResult:
     """A transformation, its cost, and whether the cost is provably minimal."""
 

@@ -1,5 +1,8 @@
 """Graph containers, transformations, and edge classification."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -163,6 +166,34 @@ def test_transformation_from_forward_matches_checked_construction():
     back = inv.inverse()
     assert (back.forward.tolist(), back.reverse.tolist()) == ([3, 0, 4, 1], [1, 3, 4, 0])
     assert (back.source_order, back.target_order) == (4, 4)
+
+
+def test_transformation_keeps_one_frozen_map():
+    t = transformation_from_forward([3, 0, 4, 1], 4, 4)
+    assert not hasattr(t, "__dict__")
+    assert t.reverse.tolist() == [1, 3, 4, 0]
+    assert t.reverse is t.reverse  # derived on first read, then kept
+    assert not t.reverse.flags.writeable
+    with pytest.raises(AttributeError):
+        t.reverse = np.array([1, 3, 4, 0])
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    # the constructor still checks the map, though it keeps no reverse
+    with pytest.raises(GraphError, match="substitutes one target vertex twice"):
+        Transformation([1, 1], 2, 3)
+    with pytest.raises(GraphError, match="must lie in"):
+        Transformation([0, 4], 2, 3)
+
+
+def test_graph_survives_pickle_and_deepcopy(pair):
+    vector = build_graph(2, [[0.5, 1.0], [2.0, -1.0]], [(0, 1)], graph_id="v")
+    for g in (*pair, vector):
+        g.degrees  # a cached property is recomputed, not copied
+        for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+            assert graphs_equal(h, g) and h.graph_id == g.graph_id
+            assert h.degrees.tolist() == g.degrees.tolist()
+            arrays = (h.vertex_attrs, h.adjacency, h.degrees) + (() if h.edge_attrs is None else (h.edge_attrs,))
+            assert not any(a.flags.writeable for a in arrays)
 
 
 def test_classify_edges_example(pair):

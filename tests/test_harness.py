@@ -65,6 +65,12 @@ def test_experiment_config_validation():
         ExperimentConfig(model=make_cost_model(), repeats=0)
 
 
+@pytest.mark.parametrize("field, value", [("repeats", 1.5), ("repeats", True), ("rng_seed", 2.5), ("rng_seed", False)])
+def test_experiment_config_rejects_a_setting_that_is_not_an_integer(field, value):
+    with pytest.raises(HarnessError, match=f"{field} must be an integer, got {value!r}"):
+        ExperimentConfig(model=make_cost_model(), **{field: value})
+
+
 def test_experiment_config_rejects_a_negative_seed():
     with pytest.raises(HarnessError, match="rng_seed must be non-negative, got -1"):
         ExperimentConfig(model=make_cost_model(), rng_seed=-1)

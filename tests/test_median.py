@@ -1,5 +1,7 @@
 """Set median, closed-form coordinate updates, and the descent loop."""
 
+import copy
+import pickle
 import warnings
 from dataclasses import replace
 
@@ -402,6 +404,24 @@ def test_compute_median_singleton():
     assert result.converged
     assert result.iterations == 1
     assert graphs_equal(result.median, g)
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+def test_descent_config_rejects_an_iteration_cap_that_is_not_an_integer(value):
+    with pytest.raises(ValueError, match=f"max_iters must be an integer, got {value!r}"):
+        DescentConfig(max_iters=value)
+
+
+def test_median_result_survives_pickle_and_deepcopy():
+    model = make_cost_model()
+    result = compute_median(model, [path_graph([1, 2, 3]), path_graph([1, 2]), path_graph([2, 2, 3])], DESCENT)
+    maps = lambda r: [(t.forward.tolist(), t.reverse.tolist()) for t in r.transformations]
+    for back in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
+        assert graphs_equal(back.median, result.median)
+        assert not back.median.adjacency.flags.writeable and not back.median.vertex_attrs.flags.writeable
+        assert maps(back) == maps(result)
+        for name in ("trace", "sod", "set_median_index", "set_median_sod", "iterations", "converged"):
+            assert getattr(back, name) == getattr(result, name)
 
 
 def test_compute_median_identical_members():

@@ -1,6 +1,8 @@
 """Edit-distance solvers: exact enumeration, assignment bound, refinement."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -508,6 +510,39 @@ def test_solver_config_validation():
         GedSolverConfig(method="nope")
     with pytest.raises(SolverError):
         GedSolverConfig(multistart_count=0)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("multistart_count", 2.5), ("multistart_count", True), ("rng_seed", 1.5), ("rng_seed", False)]
+)
+def test_solver_config_rejects_a_setting_that_is_not_an_integer(field, value):
+    with pytest.raises(SolverError, match=f"{field} must be an integer, got {value!r}"):
+        GedSolverConfig(**{field: value})
+
+
+def test_solver_config_takes_numpy_integers():
+    config = GedSolverConfig(method="mipfp", multistart_count=np.int32(2), rng_seed=np.uint64(7))
+    g, g2 = random_graph(np.random.default_rng(3), 4), random_graph(np.random.default_rng(4), 3)
+    assert solve_ged(make_cost_model(), g, g2, config).cost >= 0
+
+
+def test_result_and_its_map_survive_pickle_and_deepcopy():
+    g, g2 = random_graph(np.random.default_rng(5), 5), random_graph(np.random.default_rng(6), 4)
+    result = solve_ged(make_cost_model(), g, g2, GedSolverConfig(multistart_count=3))
+    assert not hasattr(result, "__dict__") and not hasattr(result.transformation, "__dict__")
+    t = result.transformation
+    for read_reverse in (False, True):
+        if read_reverse:
+            t.reverse
+        for copy_of in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+            for u in (copy_of(t), copy_of(result).transformation):
+                assert u is not t
+                assert (u.source_order, u.target_order) == (5, 4)
+                assert u.forward.tolist() == t.forward.tolist()
+                assert u.reverse.tolist() == t.reverse.tolist()
+                assert not u.forward.flags.writeable and not u.reverse.flags.writeable
+            back = copy_of(result)
+            assert (back.cost, back.is_exact) == (result.cost, result.is_exact)
 
 
 def test_solver_config_rejects_a_negative_seed():
