@@ -9,13 +9,10 @@ cheapest map overall.
 
 from gmedian import (
     build_graph,
-    classify_edges,
-    edge_cost,
     ged_exact,
     make_cost_model,
     transformation_cost,
     transformation_from_forward,
-    vertex_cost,
 )
 
 # A 4-vertex graph and a 3-vertex graph, integer labels on both vertices
@@ -35,20 +32,28 @@ print("forward map:", t.forward)
 print("reverse map:", t.reverse)
 
 # Every edge of g is either carried over (both endpoints substituted onto
-# adjacent vertices of h) or removed; edges of h that nothing maps onto
-# must be inserted.
-substituted, removed, inserted = classify_edges(t, g, h)
+# adjacent vertices of h) or removed; an edge of h is inserted unless both
+# its endpoints come from adjacent vertices of g.
+f, r = t.forward, t.reverse
+substituted = [(i, j) for i, j in g.edge_list if f[i] < h.order and f[j] < h.order and h.adjacency[f[i], f[j]]]
+removed = [e for e in g.edge_list if e not in substituted]
+inserted = [(k, l) for k, l in h.edge_list if not (r[k] < g.order and r[l] < g.order and g.adjacency[r[k], r[l]])]
 print("substituted edges:", substituted)
 print("removed edges:    ", removed)
 print("inserted edges:   ", inserted)
 
-# The edge total counts each undirected edge once in each direction, and
-# the overall cost charges half of it.
-vc = vertex_cost(model, t, g.vertex_attrs, h.vertex_attrs)
-ec = edge_cost(model, t, g, h)
+# Relabeling a substituted vertex or edge costs c_vs or c_es; removing or
+# inserting one costs c_vr, c_vi, c_er or c_ei. transformation_cost prices
+# the whole map in one call, and the two parts add up to it.
+kept = f < h.order
+n_kept = int(kept.sum())
+relabelled_vertices = int((g.vertex_attrs[kept] != h.vertex_attrs[f[kept]]).sum())
+relabelled_edges = sum(int(g.edge_attrs[i, j] != h.edge_attrs[f[i], f[j]]) for i, j in substituted)
+vc = model.vertex_subst.cost * relabelled_vertices + model.c_vr * (g.order - n_kept) + model.c_vi * (h.order - n_kept)
+ec = model.edge_subst.cost * relabelled_edges + model.c_er * len(removed) + model.c_ei * len(inserted)
 print(f"vertex operations: {vc}")
-print(f"edge operations (ordered pairs): {ec}")
-print(f"total: {vc} + 0.5 * {ec} = {transformation_cost(model, t, g, h)}")
+print(f"edge operations: {ec}")
+print(f"total: {vc} + {ec} = {transformation_cost(model, t, g, h)}")
 
 # That map is not optimal. Enumerating every vertex map gives the edit
 # distance itself.

@@ -26,10 +26,8 @@ _EXPORTS = {
         "LabelDelta",
         "SquaredEuclidean",
         "ZeroCost",
-        "edge_cost",
         "make_cost_model",
         "transformation_cost",
-        "vertex_cost",
     ),
     "datasets": (
         "DatasetDescriptor",
@@ -53,7 +51,6 @@ _EXPORTS = {
         "GraphError",
         "Transformation",
         "build_graph",
-        "classify_edges",
         "graphs_equal",
         "identity_transformation",
         "transformation_from_forward",

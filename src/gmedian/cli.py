@@ -84,6 +84,9 @@ FLAGS = (
     ("data", "edge_attr", {"metavar": "NAME", "help": "GXL edge label attr name"}),
 )
 
+# a config-file value is held to the choices of its flag
+_CHOICES = {(section, key): options["choices"] for section, key, options in FLAGS if "choices" in options}
+
 
 class UsageError(Exception):
     pass
@@ -175,6 +178,10 @@ def _resolve_config(args: argparse.Namespace) -> dict:
                     raise UsageError(f"unknown config key {section}.{key}")
                 if not _config_type_ok(DEFAULTS[section][key], key, value):
                     raise UsageError(f"config key {section}.{key} has the wrong type: {json.dumps(value)}")
+                choices = _CHOICES.get((section, key))
+                if choices and value is not None and value not in choices:
+                    allowed = ", ".join(choices)
+                    raise UsageError(f"config key {section}.{key} must be one of {allowed}, got {json.dumps(value)}")
                 config[section][key] = value
     if args.cost:
         config["cost"].update(_parse_cost_spec(args.cost))

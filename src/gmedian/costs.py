@@ -3,10 +3,9 @@
 The cost of a vertex map is ``vertex term + c_er*removed + c_ei*inserted +
 c_es*mismatched``, counting undirected edges (``c_es`` is zero for
 unattributed edges); :func:`forward_cost` evaluates it from a raw forward
-map. :func:`edge_cost` counts each edge once per ordered pair, so
-:func:`transformation_cost` is ``vertex_cost + edge_cost / 2``. A total
-that overflows raises GraphError where squared vector distances overflow,
-CostModelError where the constants do.
+map, :func:`transformation_cost` from a checked :class:`Transformation`.
+A total that overflows raises GraphError where squared vector distances
+overflow, CostModelError where the constants do.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ __all__ = [
     "CostModel",
     "make_cost_model",
     "check_model_compatible",
-    "vertex_cost",
-    "edge_cost",
     "forward_cost",
     "transformation_cost",
 ]
@@ -190,15 +187,15 @@ def _vector_subst(u: np.ndarray, v: np.ndarray) -> float:
         return float((d * d).sum())
 
 
-def _vertex_term(model: CostModel, f: np.ndarray, phi: np.ndarray, phi2: np.ndarray) -> float:
-    sub = f < len(phi2)
+def _vertex_term(model: CostModel, f: np.ndarray, g: AttributedGraph, g2: AttributedGraph) -> float:
+    sub = f < g2.order
     targets = f[sub]
     if isinstance(model.vertex_subst, LabelDelta):
-        subst = model.vertex_subst.cost * np.count_nonzero(phi[sub] != phi2[targets])
+        subst = model.vertex_subst.cost * np.count_nonzero(g.vertex_attrs[sub] != g2.vertex_attrs[targets])
     else:
-        subst = _vector_subst(phi[sub], phi2[targets])
+        subst = _vector_subst(g.vertex_attrs[sub], g2.vertex_attrs[targets])
     n_sub = len(targets)
-    return float(subst + model.c_vr * (len(phi) - n_sub) + model.c_vi * (len(phi2) - n_sub))
+    return float(subst + model.c_vr * (g.order - n_sub) + model.c_vi * (g2.order - n_sub))
 
 
 def _edge_term(model: CostModel, f: np.ndarray, g: AttributedGraph, g2: AttributedGraph) -> float:
@@ -213,18 +210,16 @@ def _edge_term(model: CostModel, f: np.ndarray, g: AttributedGraph, g2: Attribut
 
 def _map_cost(model: CostModel, f: np.ndarray, g: AttributedGraph, g2: AttributedGraph) -> float:
     """Unchecked cost of the forward map ``f``; ``inf`` where it overflows."""
-    return _vertex_term(model, f, g.vertex_attrs, g2.vertex_attrs) + _edge_term(model, f, g, g2)
+    return _vertex_term(model, f, g, g2) + _edge_term(model, f, g, g2)
 
 
-def _checked(
-    model: CostModel, total: float, f: np.ndarray, phi: np.ndarray | None = None, phi2: np.ndarray | None = None
-) -> float:
+def _checked(model: CostModel, total: float, f: np.ndarray, g: AttributedGraph, g2: AttributedGraph) -> float:
     """``total`` if finite; else GraphError if vector distances under ``f`` overflow, CostModelError if not."""
     if math.isfinite(total):
         return total
-    if phi is not None and isinstance(model.vertex_subst, SquaredEuclidean):
-        sub = f < len(phi2)
-        u, v = phi[sub], phi2[f[sub]]
+    if isinstance(model.vertex_subst, SquaredEuclidean):
+        sub = f < g2.order
+        u, v = g.vertex_attrs[sub], g2.vertex_attrs[f[sub]]
         _squared_distances(u, v)  # names the pair if one overflows alone
         if not math.isfinite(_vector_subst(u, v)):
             raise GraphError("sum of the squared vertex distances of the map overflows")
@@ -238,7 +233,7 @@ def forward_cost(model: CostModel, forward: np.ndarray, g: AttributedGraph, g2: 
     model must be compatible with both graphs.
     """
     f = np.asarray(forward, dtype=np.int64)
-    return _checked(model, _map_cost(model, f, g, g2), f, g.vertex_attrs, g2.vertex_attrs)
+    return _checked(model, _map_cost(model, f, g, g2), f, g, g2)
 
 
 def _forward_costs(model: CostModel, forward: np.ndarray, g: AttributedGraph, g2: AttributedGraph) -> np.ndarray:
@@ -269,43 +264,14 @@ def _forward_costs(model: CostModel, forward: np.ndarray, g: AttributedGraph, g2
     return vertex + edge
 
 
-def _check_vertex_args(model: CostModel, t: Transformation, phi: np.ndarray, phi2: np.ndarray) -> None:
-    if phi.shape[0] != t.source_order or phi2.shape[0] != t.target_order:
-        raise CostModelError("attribute arrays do not match transformation orders")
-    if isinstance(model.vertex_subst, LabelDelta):
-        if phi.ndim != 1 or phi2.ndim != 1:
-            raise CostModelError("label substitution applied to vector attributes")
-    elif phi.ndim != 2 or phi2.ndim != 2:
-        raise CostModelError("vector substitution applied to label attributes")
-    elif len(phi) and len(phi2) and phi.shape[1] != phi2.shape[1]:
-        raise CostModelError("vector substitution needs two equal-length vectors")
-
-
-def vertex_cost(model: CostModel, t: Transformation, phi: np.ndarray, phi2: np.ndarray) -> float:
-    """Total vertex operation cost of ``t`` between two attribute arrays."""
-    phi = np.asarray(phi)
-    phi2 = np.asarray(phi2)
-    _check_vertex_args(model, t, phi, phi2)
-    return _checked(model, _vertex_term(model, t.forward, phi, phi2), t.forward, phi, phi2)
-
-
-def _check_edge_args(model: CostModel, t: Transformation, g: AttributedGraph, g2: AttributedGraph) -> None:
-    if t.source_order != g.order or t.target_order != g2.order:
-        raise CostModelError("transformation orders do not match the graphs")
-    if isinstance(model.edge_subst, LabelDelta) and (g.edge_attrs is None or g2.edge_attrs is None):
-        raise CostModelError("label substitution applied to unattributed edges")
-
-
-def edge_cost(model: CostModel, t: Transformation, g: AttributedGraph, g2: AttributedGraph) -> float:
-    """Total edge operation cost, counting each undirected edge twice."""
-    _check_edge_args(model, t, g, g2)
-    return _checked(model, 2.0 * _edge_term(model, t.forward, g, g2), t.forward)
-
-
 def transformation_cost(
     model: CostModel, t: Transformation, g: AttributedGraph, g2: AttributedGraph
 ) -> float:
-    """Cost of ``t`` from ``g`` to ``g2``: vertex term plus half the edge term."""
-    _check_vertex_args(model, t, g.vertex_attrs, g2.vertex_attrs)
-    _check_edge_args(model, t, g, g2)
+    """Cost of ``t`` from ``g`` to ``g2`` under a model compatible with both graphs, as the solvers require."""
+    if t.source_order != g.order or t.target_order != g2.order:
+        raise CostModelError("transformation orders do not match the graphs")
+    check_model_compatible(model, g)
+    check_model_compatible(model, g2)
+    if g.order and g2.order and g.vector_dim != g2.vector_dim:
+        raise CostModelError("vector substitution needs two equal-length vectors")
     return forward_cost(model, t.forward, g, g2)

@@ -11,8 +11,9 @@ A :class:`Transformation` maps the vertices of a source graph onto a target
 graph: every source vertex is either substituted to a distinct target vertex
 or removed, and every target vertex not hit by a substitution is inserted.
 ``forward[i] == target_order`` marks removal of source vertex ``i``;
-``reverse[k] == source_order`` marks insertion of target vertex ``k``. Edge
-operations are induced by the vertex map, see :func:`classify_edges`.
+``reverse[k] == source_order`` marks insertion of target vertex ``k``. An
+edge of either graph whose endpoints are substituted onto an edge of the
+other is substituted; any other edge is removed or inserted.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "build_graph",
     "transformation_from_forward",
     "identity_transformation",
-    "classify_edges",
     "graphs_equal",
 ]
 
@@ -312,29 +312,8 @@ def _projected(a2: np.ndarray, forward: np.ndarray) -> np.ndarray:
 
 
 def _kept_edges(a: np.ndarray, a2: np.ndarray, forward: np.ndarray) -> np.ndarray:
-    """Edges of ``a`` substituted under ``forward``; ``(a2, a, reverse)`` gives the edges of ``a2`` not inserted."""
+    """Edges of ``a`` substituted under ``forward``, per map of a stack ``forward`` of shape (..., n)."""
     return a & _projected(a2, forward)
-
-
-def classify_edges(
-    t: Transformation, g: AttributedGraph, g2: AttributedGraph
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[tuple[int, int]]]:
-    """Split edges into (substituted, removed, inserted) under ``t``.
-
-    Substituted and removed pairs index edges of ``g``; inserted pairs index
-    edges of ``g2``. Each undirected edge appears once, as (i, j) with i < j.
-    An edge of ``g`` is substituted when both endpoints are substituted and
-    their images are adjacent in ``g2``, removed otherwise; an edge of ``g2``
-    is inserted unless it is the image of a substituted edge.
-    """
-    if t.source_order != g.order or t.target_order != g2.order:
-        raise GraphError("transformation orders do not match the graphs")
-    kept = _kept_edges(g.adjacency, g2.adjacency, t.forward)
-    kept2 = _kept_edges(g2.adjacency, g.adjacency, t.reverse)
-    substituted = [e for e in g.edge_list if kept[e]]
-    removed = [e for e in g.edge_list if not kept[e]]
-    inserted = [e for e in g2.edge_list if not kept2[e]]
-    return substituted, removed, inserted
 
 
 def graphs_equal(a: AttributedGraph, b: AttributedGraph, vec_tol: float = 0.0) -> bool:

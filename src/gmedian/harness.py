@@ -54,6 +54,8 @@ class ExperimentConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        if isinstance(self.per_class_sample, bool):  # True would pass as a count of one
+            raise HarnessError(f"per_class_sample must be a number, got {self.per_class_sample!r}")
         if not 0 < self.per_class_sample <= sys.float_info.max:  # also false for NaN
             raise HarnessError(f"per_class_sample must be finite and positive, got {self.per_class_sample!r}")
         if self.per_class_sample >= 1.0 and self.per_class_sample != int(self.per_class_sample):

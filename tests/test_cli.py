@@ -334,6 +334,22 @@ def test_config_value_of_wrong_type(command, section, key, value, graph_files, d
 
 
 @pytest.mark.parametrize(
+    "section, key, value",
+    [("data", "edge_kind", "nones"), ("data", "node_kind", "vectr"), ("ged", "phase1", "bogus")],
+)
+def test_config_value_outside_its_flag_choices(section, key, value, tmp_path, capsys):
+    # a flag refuses these values, so a config file must too, not read the data another way
+    _write_gxl(tmp_path / "x.gxl", "x", [1, 2], [(0, 1, 1)])
+    _write_gxl(tmp_path / "y.gxl", "y", [1, 2], [(0, 1, 2)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    assert main(["ged", str(tmp_path / "x.gxl"), str(tmp_path / "y.gxl"), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"config key {section}.{key} must be one of" in err
+    assert err.strip().endswith(f"got {json.dumps(value)}")
+
+
+@pytest.mark.parametrize(
     "section, key, literal",
     [
         ("ged", "multistart", "1e400"),

@@ -1,5 +1,6 @@
 """Edit cost models and transformation cost evaluation."""
 
+import re
 import warnings
 
 import numpy as np
@@ -8,16 +9,16 @@ import pytest
 from gmedian import (
     CostModel,
     CostModelError,
+    GedSolverConfig,
     GraphError,
     LabelDelta,
     SquaredEuclidean,
     ZeroCost,
     build_graph,
-    edge_cost,
     make_cost_model,
+    solve_ged,
     transformation_cost,
     transformation_from_forward,
-    vertex_cost,
 )
 from gmedian.costs import check_model_compatible, forward_cost
 
@@ -41,8 +42,6 @@ def test_example_costs(pair):
     g, g2 = pair
     t = transformation_from_forward([0, 2, 1, 3], 4, 3)
     model = make_cost_model()
-    assert vertex_cost(model, t, g.vertex_attrs, g2.vertex_attrs) == 3.0
-    assert edge_cost(model, t, g, g2) == 24.0
     assert transformation_cost(model, t, g, g2) == 15.0
 
 
@@ -127,10 +126,6 @@ def test_vectorized_costs_match_oracle_labels():
         g2 = random_graph(rng, n2)
         t = transformation_from_forward(random_forward(rng, n, n2), n, n2)
         # label costs are sums of multiples of the constants: exact equality
-        assert vertex_cost(model, t, g.vertex_attrs, g2.vertex_attrs) == direct_vertex_cost(
-            model, t, g.vertex_attrs, g2.vertex_attrs
-        )
-        assert edge_cost(model, t, g, g2) == direct_edge_cost(model, t, g, g2)
         assert transformation_cost(model, t, g, g2) == direct_transformation_cost(model, t, g, g2)
         assert forward_cost(model, t.forward, g, g2) == direct_transformation_cost(model, t, g, g2)
 
@@ -210,8 +205,6 @@ def test_overflowing_vector_distance_is_rejected_by_every_cost_function():
         transformation_cost(model, t, g, g2)
     with pytest.raises(GraphError, match=message):
         forward_cost(model, t.forward, g, g2)
-    with pytest.raises(GraphError, match=message):
-        vertex_cost(model, t, g.vertex_attrs, g2.vertex_attrs)
     # a map that keeps the two far vertices apart still has a finite cost
     assert forward_cost(model, np.array([2, 1]), g, g2) == 6.0
 
@@ -229,8 +222,6 @@ def test_vector_distances_overflowing_in_sum_are_rejected_without_warning():
             forward_cost(model, t.forward, g, g2)
         with pytest.raises(GraphError, match="sum of the squared vertex distances of the map overflows"):
             transformation_cost(model, t, g, g2)
-        with pytest.raises(GraphError, match="sum of the squared vertex distances of the map overflows"):
-            vertex_cost(model, t, g.vertex_attrs, g2.vertex_attrs)
         # one substitution alone stays finite
         assert forward_cost(model, np.array([0, 2]), g, g2) == pytest.approx(1.44e308 + 3.0 + 3.0)
 
@@ -245,12 +236,8 @@ def test_overflowing_constants_are_rejected_by_every_pricing_function():
         forward_cost(model, np.array([0, 0]), g, h)
     with pytest.raises(CostModelError, match=message):
         transformation_cost(model, t, g, h)
-    with pytest.raises(CostModelError, match=message):
-        vertex_cost(model, t, g.vertex_attrs, h.vertex_attrs)
-    # edge_cost counts each edge twice, so it alone overflows at c_er = 1e308
+    # one removed edge at c_er = 1e308 still has a finite cost
     model = make_cost_model(c_er=1e308)
-    with pytest.raises(CostModelError, match=r"overflows under CostModel\(c_vr=3\.0, c_vi=3\.0, c_er=1e\+308"):
-        edge_cost(model, t, g, h)
     assert transformation_cost(model, t, g, h) == forward_cost(model, t.forward, g, h) == 1e308
 
 
@@ -262,8 +249,26 @@ def test_vectors_of_unequal_width_are_a_cost_model_error():
     g, g2 = build_graph(2, a, edge_labels=False), build_graph(2, b, edge_labels=False)
     t = transformation_from_forward([0, 1], 2, 2)
     with pytest.raises(CostModelError, match="vector substitution needs two equal-length vectors"):
-        vertex_cost(model, t, a, b)
-    with pytest.raises(CostModelError, match="vector substitution needs two equal-length vectors"):
         transformation_cost(model, t, g, g2)
     # without vertices on one side there is no width to compare
-    assert vertex_cost(model, transformation_from_forward([0, 0], 2, 0), a, np.zeros((0, 3))) == 6.0
+    empty = build_graph(0, np.zeros((0, 3)), edge_labels=False)
+    assert transformation_cost(model, transformation_from_forward([0, 0], 2, 0), g, empty) == 6.0
+
+
+LABELLED = build_graph(3, [1, 2, 2], [(1, 2, 1), (0, 2, 4)])
+VECTORS = build_graph(3, [[0.0], [1.0], [2.0]], [(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "edge_mode, graph, forward",
+    [("none", LABELLED, [0, 1, 2]), ("none", VECTORS, [0, 1, 2]), ("label", LABELLED, [0, 1])],
+    ids=["unlabelled-edge-model-on-labelled-edges", "label-model-on-vectors", "orders-do-not-match"],
+)
+def test_transformation_cost_rejects_what_solve_ged_rejects(edge_mode, graph, forward):
+    model = make_cost_model(edge_mode=edge_mode)
+    t = transformation_from_forward(forward, len(forward), 3)
+    with pytest.raises(CostModelError) as caught:
+        transformation_cost(model, t, graph, graph)
+    if t.source_order == graph.order:  # a solver takes no map, so the model is all it checks
+        with pytest.raises(CostModelError, match=re.escape(str(caught.value))):
+            solve_ged(model, graph, graph, GedSolverConfig(method="bipartite"))

@@ -1,4 +1,4 @@
-"""Graph containers, transformations, and edge classification."""
+"""Graph containers and transformations."""
 
 import copy
 import pickle
@@ -14,13 +14,10 @@ from gmedian import (
     GraphError,
     Transformation,
     build_graph,
-    classify_edges,
     graphs_equal,
     identity_transformation,
     transformation_from_forward,
 )
-
-from oracles import random_forward, random_graph
 
 
 @pytest.fixture
@@ -194,33 +191,6 @@ def test_graph_survives_pickle_and_deepcopy(pair):
             assert h.degrees.tolist() == g.degrees.tolist()
             arrays = (h.vertex_attrs, h.adjacency, h.degrees) + (() if h.edge_attrs is None else (h.edge_attrs,))
             assert not any(a.flags.writeable for a in arrays)
-
-
-def test_classify_edges_example(pair):
-    g, g2 = pair
-    t = transformation_from_forward([0, 2, 1, 3], 4, 3)
-    substituted, removed, inserted = classify_edges(t, g, g2)
-    assert substituted == [(1, 2)]
-    assert removed == [(0, 3), (1, 3), (2, 3)]
-    assert inserted == [(0, 2)]
-
-
-def test_classify_edges_counts_random():
-    rng = np.random.default_rng(42)
-    for _ in range(200):
-        n, n2 = int(rng.integers(0, 6)), int(rng.integers(0, 6))
-        g = random_graph(rng, n)
-        g2 = random_graph(rng, n2)
-        t = transformation_from_forward(random_forward(rng, n, n2), n, n2)
-        substituted, removed, inserted = classify_edges(t, g, g2)
-        assert len(substituted) + len(removed) == g.n_edges
-        assert len(substituted) + len(inserted) == g2.n_edges
-        for i, j in substituted:
-            ki, kj = int(t.forward[i]), int(t.forward[j])
-            assert g.adjacency[i, j] and g2.adjacency[ki, kj]
-        for k, l in inserted:
-            assert g2.adjacency[k, l]
-        assert set(removed).isdisjoint(substituted)
 
 
 def test_graphs_equal(pair):

@@ -82,6 +82,13 @@ def test_non_finite_sample_is_rejected(sample):
         ExperimentConfig(model=make_cost_model(), per_class_sample=sample)
 
 
+@pytest.mark.parametrize("sample", [True, False])
+def test_bool_sample_is_rejected(sample):
+    # True would otherwise pass as a count of one
+    with pytest.raises(HarnessError, match=f"per_class_sample must be a number, got {sample!r}"):
+        ExperimentConfig(model=make_cost_model(), per_class_sample=sample)
+
+
 @pytest.mark.parametrize("sample", [2.5, 1.5, 10.000001])
 def test_fractional_sample_count_is_rejected(sample):
     with pytest.raises(HarnessError, match=f"whole count, got {sample!r}"):

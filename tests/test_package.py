@@ -9,12 +9,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the public names and the modules that define them, as the package exported them when it imported eagerly
 EXPORTS = {
-    "costs": "CostModel CostModelError LabelDelta SquaredEuclidean ZeroCost edge_cost make_cost_model "
-    "transformation_cost vertex_cost",
+    "costs": "CostModel CostModelError LabelDelta SquaredEuclidean ZeroCost make_cost_model transformation_cost",
     "datasets": "DatasetDescriptor DatasetError GraphRecord LabelCodec ModeHints load_collection load_graph "
     "parse_collection parse_gxl read_graph save_graph write_graph",
-    "graphs": "LABEL NO_EDGE_ATTRS VECTOR AttributedGraph GraphError Transformation build_graph classify_edges "
-    "graphs_equal identity_transformation transformation_from_forward",
+    "graphs": "LABEL NO_EDGE_ATTRS VECTOR AttributedGraph GraphError Transformation build_graph graphs_equal "
+    "identity_transformation transformation_from_forward",
     "harness": "ClassificationReport ExperimentConfig HarnessError SodReport run_classification run_sod_experiment",
     "lsap": "LsapError build_assignment_problem solve_lsap",
     "median": "DescentConfig MedianResult SetMedianResult compute_median set_median",
@@ -39,7 +38,7 @@ assert not loaded, loaded
 
 EXPORTS = {EXPORTS!r}
 names = sorted(name for line in EXPORTS.values() for name in line.split())
-assert len(names) == 54 and gmedian.__all__ == names, gmedian.__all__
+assert len(names) == 51 and gmedian.__all__ == names, gmedian.__all__
 for module, line in EXPORTS.items():
     defining = importlib.import_module("gmedian." + module)
     for name in line.split():
