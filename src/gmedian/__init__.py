@@ -72,7 +72,6 @@ _EXPORTS = {
         "SolverError",
         "ged_bipartite",
         "ged_exact",
-        "ged_ipfp",
         "solve_ged",
     ),
 }

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (
-    LABEL, NO_EDGE_ATTRS, VECTOR, AttributedGraph, GraphError, Transformation, _kept_edges, _projected,
-)
+from .graphs import LABEL, NO_EDGE_ATTRS, VECTOR, AttributedGraph, GraphError, Transformation, _kept_edges
 
 __all__ = [
     "CostModelError",
@@ -236,30 +234,33 @@ def forward_cost(model: CostModel, forward: np.ndarray, g: AttributedGraph, g2: 
     return _checked(model, _map_cost(model, f, g, g2), f, g, g2)
 
 
-def _forward_costs(model: CostModel, forward: np.ndarray, g: AttributedGraph, g2: AttributedGraph) -> np.ndarray:
-    """:func:`forward_cost` of every map of the (K, n) stack ``forward``.
+def _stack_costs(
+    model: CostModel, sources: np.ndarray, images: np.ndarray, g: AttributedGraph, g2: AttributedGraph
+) -> np.ndarray:
+    """:func:`forward_cost` of every map that substitutes the ascending ``sources`` by a row of the
+    (K, k) stack ``images`` and removes every other vertex of ``g``; ``inf`` where it overflows.
 
     Each term is formed in :func:`forward_cost`'s order of operations, so
-    under label costs every entry equals the per-map cost bit for bit.
+    under every model each entry equals the per-map cost bit for bit.
     """
-    n, n2 = g.order, g2.order
-    # column n2, the image of a removed vertex, costs nothing here
-    subst = np.zeros((n, n2 + 1))
-    subst[:, :n2] = _vertex_subst_matrix(model, g.vertex_attrs, g2.vertex_attrs)
-    picked = subst[np.arange(n), forward]
+    k = len(sources)
     if isinstance(model.vertex_subst, LabelDelta):
-        # mismatches counted, then scaled, as forward_cost does
-        vertex = model.vertex_subst.cost * np.count_nonzero(picked, axis=-1)
+        mismatched = np.count_nonzero(g.vertex_attrs[sources] != g2.vertex_attrs[images], axis=-1)
+        vertex = model.vertex_subst.cost * mismatched
+    elif k:  # with no pairs the two widths need not agree
+        with np.errstate(over="ignore"):
+            d = g.vertex_attrs[sources] - g2.vertex_attrs[images]
+            vertex = (d * d).sum(axis=(-2, -1))
     else:
-        with np.errstate(over="ignore"):  # a map whose distances overflow only in sum costs inf
-            vertex = picked.sum(axis=-1)
-    n_sub = np.count_nonzero(forward < n2, axis=-1)
-    vertex = vertex + model.c_vr * (n - n_sub) + model.c_vi * (n2 - n_sub)
-    kept_edges = _kept_edges(g.adjacency, g2.adjacency, forward)
+        vertex = np.zeros(len(images))
+    vertex = vertex + model.c_vr * (g.order - k) + model.c_vi * (g2.order - k)
+    pairs = np.ix_(sources, sources)
+    image_pairs = images[:, :, None], images[:, None, :]
+    kept_edges = g.adjacency[pairs] & g2.adjacency[image_pairs]
     kept = np.count_nonzero(kept_edges, axis=(-2, -1)) // 2
     edge = model.c_er * (g.n_edges - kept) + model.c_ei * (g2.n_edges - kept)
     if isinstance(model.edge_subst, LabelDelta):
-        relabelled = kept_edges & (g.edge_attrs != _projected(g2.edge_attrs, forward))
+        relabelled = kept_edges & (g.edge_attrs[pairs] != g2.edge_attrs[image_pairs])
         edge = edge + model.edge_subst.cost * (np.count_nonzero(relabelled, axis=(-2, -1)) // 2)
     return vertex + edge
 

@@ -1,8 +1,9 @@
 """Edit-distance solvers between two attributed graphs.
 
 :func:`ged_exact` enumerates every transformation, exact but exponential:
-stacks of maps are scored by the cost rule that :func:`costs.forward_cost`
-applies to one map, and ties go to the lexicographically smallest map.
+stacks of maps are scored in :func:`costs.forward_cost`'s own arithmetic, so
+under every model the lexicographically smallest of the maps that cost
+least wins.
 Every other method runs one pipeline per pair of graphs:
 
 1. check that removing one graph and inserting the other whole has a
@@ -14,7 +15,7 @@ Every other method runs one pipeline per pair of graphs:
 3. for ``mbipartite`` and ``mipfp``, add ``multistart_count`` seeded random
    maximal maps;
 4. for ``ipfp`` and ``mipfp``, refine every start by iterated linear
-   approximation of the quadratic cost (:func:`ged_ipfp`), else score it.
+   approximation of the quadratic cost (:func:`_ipfp_refine`), else score it.
    The relaxed point x is an n x n2 substitution block; removal and
    insertion are what its rows and columns leave, so each step's linear
    problem is a partial matching on the n x n2 gradient, pairing a vertex
@@ -53,11 +54,10 @@ from . import lsap
 from .costs import (
     CostModel,
     LabelDelta,
-    _forward_costs,
     _map_cost,
+    _stack_costs,
     _vertex_subst_matrix,
     check_model_compatible,
-    forward_cost,
 )
 from .graphs import AttributedGraph, Transformation, transformation_from_forward
 
@@ -68,7 +68,6 @@ __all__ = [
     "METHODS",
     "ged_exact",
     "ged_bipartite",
-    "ged_ipfp",
     "solve_ged",
 ]
 
@@ -127,28 +126,35 @@ def ged_exact(model: CostModel, g: AttributedGraph, g2: AttributedGraph) -> GedR
     rejected. For each number k of substitutions and each k-subset of
     source vertices, the images run through every k-permutation of target
     vertices in lexicographic order, scored in stacks of at most
-    ``_EXACT_STACK`` maps by the shared cost rule. Among cost ties the
-    lexicographically smallest forward map wins.
+    ``_EXACT_STACK`` maps by :func:`costs._stack_costs`, which prices each
+    map exactly as :func:`costs.forward_cost` does. So under every model
+    the result is the least ``(forward_cost, forward map)`` pair: among
+    cost ties the lexicographically smallest forward map wins.
     """
     if max(g.order, g2.order) > _EXACT_ORDER_CAP:
         raise SolverError(
             f"orders ({g.order}, {g2.order}) exceed the exact enumeration cap {_EXACT_ORDER_CAP}"
         )
     _whole_edit_cost(model, g, g2)
+    # unequal vector widths, or one vertex pair whose squared distance overflows, are rejected here
+    _vertex_subst_matrix(model, g.vertex_attrs, g2.vertex_attrs)
     n, n2 = g.order, g2.order
     best: tuple[float, tuple[int, ...]] = (np.inf, ())
     for k in range(min(n, n2) + 1):
-        for sources in itertools.combinations(range(n), k):
+        for subset in itertools.combinations(range(n), k):
+            sources = np.array(subset, dtype=np.int64)
             images = itertools.permutations(range(n2), k)
-            while stack := list(itertools.islice(images, _EXACT_STACK)):
-                forward = np.full((len(stack), n), n2, dtype=np.int64)
-                forward[:, list(sources)] = stack
-                costs = _forward_costs(model, forward, g, g2)
+            while batch := list(itertools.islice(images, _EXACT_STACK)):
+                stack = np.array(batch, dtype=np.int64).reshape(len(batch), k)
+                costs = _stack_costs(model, sources, stack, g, g2)
                 # the stack is in lexicographic order, so argmin takes the smallest tied map
                 i = int(np.argmin(costs))
-                best = min(best, (float(costs[i]), tuple(forward[i].tolist())))
+                forward = np.full(n, n2, dtype=np.int64)
+                forward[sources] = stack[i]
+                best = min(best, (float(costs[i]), tuple(forward.tolist())))
+    # the removal of every vertex, among the first maps scored, has a finite cost, so best holds a map
     f = np.asarray(best[1], dtype=np.int64)
-    return GedResult(transformation_from_forward(f, n, n2), forward_cost(model, f, g, g2), True)
+    return GedResult(transformation_from_forward(f, n, n2), best[0], True)
 
 
 def _whole_edit_cost(model: CostModel, g: AttributedGraph, g2: AttributedGraph) -> float:
@@ -279,7 +285,7 @@ class _QapForm:
         for forward, value in visited:
             key = tuple(forward.tolist())
             if key != best[1] and (value is None or value <= best[0] + _SCREEN_MARGIN * max(1.0, abs(best[0]))):
-                # unchecked: a map whose distances overflow only in sum costs inf, as in _forward_costs
+                # unchecked: a map whose distances overflow only in sum costs inf, as in ged_exact
                 cost = _map_cost(self.model, forward, self.g, self.g2)
                 best = (cost, key) if best[1] is None else min(best, (cost, key))
         return best
@@ -320,25 +326,6 @@ def _ipfp_refine(form: _QapForm, init_forward: np.ndarray) -> Iterator[tuple[np.
         # the map sharing most mass with x, removal and insertion cells included
         removed, inserted = 1.0 - x.sum(axis=1), 1.0 - x.sum(axis=0)
         yield lsap.solve_partial(removed[:, None] + inserted[None, :] - x), None
-
-
-def ged_ipfp(model: CostModel, g: AttributedGraph, g2: AttributedGraph, init: Transformation) -> GedResult:
-    """Refine ``init`` by iterated linearization of the quadratic edit cost.
-
-    Each step solves a partial matching on the gradient at the current
-    relaxed point, takes the best step towards it (exact line search on the
-    quadratic), and remembers the best discrete map seen, the initial one
-    included. It stops once the gap to that matching, or the decrease of
-    one step, is at most ``_IPFP_TOL`` times the relaxed objective,
-    or after ``_IPFP_MAX_ITERS`` steps; a relaxed point that is not a
-    map is then projected back to one by one more partial matching. The
-    returned cost is therefore never worse than the cost of ``init``.
-    """
-    if init.source_order != g.order or init.target_order != g2.order:
-        raise SolverError("initial transformation does not match the graph orders")
-    form = _QapForm(model, g, g2)
-    cost, forward = form.cheapest(_ipfp_refine(form, init.forward))
-    return GedResult(transformation_from_forward(forward, g.order, g2.order), cost, False)
 
 
 def _random_maximal_forward(rng: np.random.Generator, n: int, n2: int) -> np.ndarray:

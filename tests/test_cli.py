@@ -117,6 +117,12 @@ def test_cost_guard_is_usage_error(graph_files, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cost_item_without_a_value_is_usage_error(graph_files, capsys):
+    a, b = graph_files
+    assert main(["ged", a, b, "--cost", "c_vs"]) == 1
+    assert "bad --cost item 'c_vs', expected name=value" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spec, name", [("c_er=nan", "c_er"), ("c_er=inf", "c_er"), ("c_vs=nan", "c_vs")])
 def test_non_finite_cost_constant_is_usage_error(spec, name, graph_files, capsys):
     a, b = graph_files
@@ -301,6 +307,9 @@ def test_config_file_errors(dataset, tmp_path, capsys):
     assert main(["median", "--dataset", dataset, "--config", str(cfg)]) == 1
     cfg.write_text(json.dumps({"ged": {"wrong_key": 1}}))
     assert main(["median", "--dataset", dataset, "--config", str(cfg)]) == 1
+    cfg.write_text(json.dumps({"cost": 3}))
+    assert main(["median", "--dataset", dataset, "--config", str(cfg)]) == 1
+    assert "config section 'cost' must be an object" in capsys.readouterr().err
     assert main(["median", "--dataset", dataset, "--config", str(tmp_path / "none.json")]) == 2
     capsys.readouterr()
 

@@ -93,6 +93,9 @@ def test_read_graph_errors():
         read_graph("gmg 1 2 label none\nv 0 1\nv 0 2\n")
     with pytest.raises(DatasetError, match="missing vertex"):
         read_graph("gmg 1 2 label none\nv 0 1\n")
+    # enough lines follow the header, but no vertex line for vertex 1
+    with pytest.raises(DatasetError, match=re.escape("missing vertex lines for [1]")):
+        read_graph("gmg 1 2 label none\nv 0 1\ne 0 1\n")
     with pytest.raises(DatasetError, match="out of range"):
         read_graph("gmg 1 1 label none\nv 3 1\n")
     with pytest.raises(DatasetError, match="dimension"):

@@ -412,6 +412,19 @@ def test_descent_config_rejects_an_iteration_cap_that_is_not_an_integer(value):
         DescentConfig(max_iters=value)
 
 
+def test_descent_config_rejects_a_zero_iteration_cap():
+    with pytest.raises(ValueError, match="max_iters must be at least 1"):
+        DescentConfig(max_iters=0)
+
+
+def test_labeled_edge_update_rejects_an_unlabelled_edge_model():
+    median = build_graph(2, [1, 1], [(0, 1, 1)])
+    members = [build_graph(2, [1, 2], [(0, 1, 2)])]
+    sets = collect_substitution_sets(MedianState(median, [identity_transformation(2)], 0.0, 0), members)
+    with pytest.raises(ValueError, match="labeled edge update needs a label-delta edge cost"):
+        update_edges_labeled(median, sets, members, make_cost_model(edge_mode="none"))
+
+
 def test_median_result_survives_pickle_and_deepcopy():
     model = make_cost_model()
     result = compute_median(model, [path_graph([1, 2, 3]), path_graph([1, 2]), path_graph([2, 2, 3])], DESCENT)

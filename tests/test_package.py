@@ -17,7 +17,7 @@ EXPORTS = {
     "harness": "ClassificationReport ExperimentConfig HarnessError SodReport run_classification run_sod_experiment",
     "lsap": "LsapError build_assignment_problem solve_lsap",
     "median": "DescentConfig MedianResult SetMedianResult compute_median set_median",
-    "solvers": "METHODS GedResult GedSolverConfig SolverError ged_bipartite ged_exact ged_ipfp solve_ged",
+    "solvers": "METHODS GedResult GedSolverConfig SolverError ged_bipartite ged_exact solve_ged",
 }
 
 
@@ -38,7 +38,7 @@ assert not loaded, loaded
 
 EXPORTS = {EXPORTS!r}
 names = sorted(name for line in EXPORTS.values() for name in line.split())
-assert len(names) == 51 and gmedian.__all__ == names, gmedian.__all__
+assert len(names) == 50 and gmedian.__all__ == names, gmedian.__all__
 for module, line in EXPORTS.items():
     defining = importlib.import_module("gmedian." + module)
     for name in line.split():

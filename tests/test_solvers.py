@@ -1,8 +1,10 @@
 """Edit-distance solvers: exact enumeration, assignment bound, refinement."""
 
 import copy
+import itertools
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,20 +16,21 @@ import pytest
 
 from gmedian import (
     METHODS,
+    CostModelError,
     GedSolverConfig,
+    GraphError,
     SolverError,
     build_assignment_problem,
     build_graph,
     ged_bipartite,
     ged_exact,
-    ged_ipfp,
     make_cost_model,
     solve_ged,
     transformation_cost,
     transformation_from_forward,
 )
 from gmedian import solvers
-from gmedian.costs import _map_cost, forward_cost
+from gmedian.costs import _map_cost, _stack_costs, forward_cost
 from gmedian.solvers import _incident_edge_matrix, _ipfp_refine, _QapForm, _random_maximal_forward
 
 from oracles import (
@@ -72,19 +75,82 @@ def test_exact_matches_oracle_random():
         assert tuple(result.transformation.forward.tolist()) == expected_forward
 
 
-def test_exact_ranks_maps_by_forward_cost():
+def _vector_model():
+    with pytest.warns(RuntimeWarning):
+        return make_cost_model("vector", "none", c_vr=0.9, c_vi=0.9, c_er=1.7, c_ei=1.7)
+
+
+def _ranking_settings():
+    """(model, graph kwargs) for the default label model, a non-dyadic label model and a vector model."""
     # constants with no exact binary form: summing them in another order moves costs by an ulp
-    model = make_cost_model(c_vs=0.1, c_es=0.1, c_vr=0.3, c_vi=0.2, c_er=0.3, c_ei=0.7)
-    rng = np.random.default_rng(0)
-    for _ in range(150):
-        n, n2 = int(rng.integers(0, 5)), int(rng.integers(0, 5))
-        g = random_graph(rng, n)
-        g2 = random_graph(rng, n2)
-        result = ged_exact(model, g, g2)
-        expected = min(
-            (forward_cost(model, np.asarray(f, dtype=np.int64), g, g2), tuple(f)) for f in all_forwards(n, n2)
-        )
-        assert (result.cost, tuple(result.transformation.forward.tolist())) == expected
+    non_dyadic = make_cost_model(c_vs=0.1, c_es=0.1, c_vr=0.3, c_vi=0.2, c_er=0.3, c_ei=0.7)
+    vector = {"vertex_mode": "vector", "edge_mode": "none"}
+    return [(make_cost_model(), {}), (non_dyadic, {}), (_vector_model(), vector)]
+
+
+def test_exact_ranks_maps_by_forward_cost():
+    for model, kwargs in _ranking_settings():
+        rng = np.random.default_rng(0)
+        for _ in range(150):
+            n, n2 = int(rng.integers(0, 5)), int(rng.integers(0, 5))
+            g = random_graph(rng, n, **kwargs)
+            g2 = random_graph(rng, n2, **kwargs)
+            result = ged_exact(model, g, g2)
+            expected = min(
+                (forward_cost(model, np.asarray(f, dtype=np.int64), g, g2), tuple(f)) for f in all_forwards(n, n2)
+            )
+            assert (result.cost, tuple(result.transformation.forward.tolist())) == expected
+
+
+def test_stack_costs_equal_forward_cost_bit_for_bit():
+    for model, kwargs in _ranking_settings():
+        rng = np.random.default_rng(30)
+        for n, n2 in itertools.product(range(5), repeat=2):
+            # vectors of width 3 put up to 12 coordinates in one map's sum
+            g = random_graph(rng, n, **kwargs, dim=3)
+            g2 = random_graph(rng, n2, **kwargs, dim=3)
+            for k in range(min(n, n2) + 1):
+                for subset in itertools.combinations(range(n), k):
+                    sources = np.array(subset, dtype=np.int64)
+                    stack = list(itertools.permutations(range(n2), k))
+                    images = np.array(stack, dtype=np.int64).reshape(len(stack), k)
+                    for row, cost in zip(images, _stack_costs(model, sources, images, g, g2)):
+                        forward = np.full(n, n2, dtype=np.int64)
+                        forward[sources] = row
+                        assert cost == forward_cost(model, forward, g, g2), (model, forward)
+
+
+def test_exact_vector_cost_is_its_maps_forward_cost():
+    # by forward_cost, [0, 1, 2] costs 1 ulp more than [2, 1, 0]; summed per vertex first, it did not
+    model = _vector_model()
+    g = build_graph(3, [[0.1, 0.0], [0.0, 0.0], [0.1, 0.0]], [(0, 1), (1, 2)], edge_labels=False)
+    h = build_graph(3, [[0.0, 0.2], [0.2, 0.2], [0.0, 0.1]], [(0, 1), (1, 2)], edge_labels=False)
+    assert forward_cost(model, np.array([0, 1, 2]), g, h) == 0.15000000000000005
+    result = ged_exact(model, g, h)
+    assert result.cost == forward_cost(model, np.array([2, 1, 0]), g, h) == 0.15000000000000002
+    assert result.transformation.forward.tolist() == [2, 1, 0]
+    assert result.is_exact
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("widths", [(1, 2), (2, 1), (2, 3)], ids=["1-2", "2-1", "2-3"])
+def test_every_method_rejects_vectors_of_unequal_width(widths, method):
+    model = _vector_model()
+    g = build_graph(2, np.zeros((2, widths[0])), [(0, 1)], edge_labels=False)
+    g2 = build_graph(3, np.ones((3, widths[1])), [(1, 2)], edge_labels=False)
+    with pytest.raises(CostModelError, match="vector substitution needs two equal-length vectors"):
+        solve_ged(model, g, g2, GedSolverConfig(method=method, multistart_count=2))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_names_one_overflowing_vertex_pair(method):
+    # finite coordinates whose squared distance, 4e400, is beyond float64
+    model = _vector_model()
+    g = build_graph(2, [[1e200, 0.0], [0.0, 0.0]], edge_labels=False)
+    g2 = build_graph(2, [[-1e200, 0.0], [0.0, 0.0]], edge_labels=False)
+    message = "squared distance between vertex vectors [1e+200, 0.0] and [-1e+200, 0.0] overflows"
+    with pytest.raises(GraphError, match=re.escape(message)):
+        solve_ged(model, g, g2, GedSolverConfig(method=method, multistart_count=2))
 
 
 def test_exact_runs_in_bounded_memory():
@@ -453,18 +519,10 @@ def test_ipfp_never_worse_than_init():
         g2 = random_graph(rng, n2)
         init = transformation_from_forward(random_forward(rng, n, n2), n, n2)
         init_cost = transformation_cost(model, init, g, g2)
-        refined = ged_ipfp(model, g, g2, init)
-        assert refined.cost <= init_cost + 1e-9
-        assert refined.cost == pytest.approx(
-            transformation_cost(model, refined.transformation, g, g2)
-        )
-
-
-def test_ipfp_rejects_mismatched_init(pair):
-    g, g2 = pair
-    model = make_cost_model()
-    with pytest.raises(SolverError):
-        ged_ipfp(model, g, g2, transformation_from_forward([0, 1], 2, 3))
+        form = _QapForm(model, g, g2)
+        cost, forward = form.cheapest(_ipfp_refine(form, init.forward))
+        assert cost <= init_cost + 1e-9
+        assert cost == pytest.approx(transformation_cost(model, transformation_from_forward(forward, n, n2), g, g2))
 
 
 def test_solver_chain_ordering():
@@ -557,8 +615,8 @@ def test_edge_constants_summing_beyond_float_range_on_an_edgeless_pair():
     g2 = build_graph(2, [1, 2], [], edge_labels=True)
     for a, b in ((g, g2), (g2, g)):
         forward = _random_maximal_forward(np.random.default_rng(0), a.order, b.order)
-        init = transformation_from_forward(forward, a.order, b.order)
-        assert ged_ipfp(model, a, b, init).cost == ged_exact(model, a, b).cost == 1e308
+        form = _QapForm(model, a, b)
+        assert form.cheapest(_ipfp_refine(form, forward))[0] == ged_exact(model, a, b).cost == 1e308
 
 
 @pytest.mark.parametrize("method", METHODS)
