@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import LABEL, NO_EDGE_ATTRS, VECTOR, AttributedGraph, GraphError, Transformation, _kept_edges
+from .graphs import LABEL, NO_EDGE_ATTRS, VECTOR, AttributedGraph, GraphError, Transformation, _projected
 
 __all__ = [
     "CostModelError",
@@ -197,7 +197,7 @@ def _vertex_term(model: CostModel, f: np.ndarray, g: AttributedGraph, g2: Attrib
 
 
 def _edge_term(model: CostModel, f: np.ndarray, g: AttributedGraph, g2: AttributedGraph) -> float:
-    rows, cols = np.nonzero(_kept_edges(g.adjacency, g2.adjacency, f))
+    rows, cols = np.nonzero(g.adjacency & _projected(g2.adjacency, f))
     kept = len(rows) // 2
     total = model.c_er * (g.n_edges - kept) + model.c_ei * (g2.n_edges - kept)
     if isinstance(model.edge_subst, LabelDelta):

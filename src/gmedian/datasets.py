@@ -119,9 +119,6 @@ class DatasetDescriptor:
     def classes(self) -> list[str]:
         return sorted({r.class_label for r in self.records})
 
-    def by_class(self, label: str) -> list[AttributedGraph]:
-        return [r.graph for r in self.records if r.class_label == label]
-
 
 _VALUE_TAGS = {"int": int, "integer": int, "float": float, "double": float, "string": str}
 

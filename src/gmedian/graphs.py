@@ -270,18 +270,6 @@ class Transformation:
         """Boolean mask over source vertices that are substituted."""
         return self.forward < self.target_order
 
-    @property
-    def n_substituted(self) -> int:
-        return int(self.substituted.sum())
-
-    @property
-    def n_removed(self) -> int:
-        return self.source_order - self.n_substituted
-
-    @property
-    def n_inserted(self) -> int:
-        return self.target_order - self.n_substituted
-
     def inverse(self) -> "Transformation":
         return Transformation(self.reverse, self.target_order, self.source_order)
 
@@ -309,11 +297,6 @@ def _projected(a2: np.ndarray, forward: np.ndarray) -> np.ndarray:
     a2pad = np.zeros((n2 + 1, n2 + 1), dtype=a2.dtype)
     a2pad[:n2, :n2] = a2
     return a2pad[forward[..., :, None], forward[..., None, :]]
-
-
-def _kept_edges(a: np.ndarray, a2: np.ndarray, forward: np.ndarray) -> np.ndarray:
-    """Edges of ``a`` substituted under ``forward``, per map of a stack ``forward`` of shape (..., n)."""
-    return a & _projected(a2, forward)
 
 
 def graphs_equal(a: AttributedGraph, b: AttributedGraph, vec_tol: float = 0.0) -> bool:

@@ -137,8 +137,9 @@ def run_sod_experiment(dataset: DatasetDescriptor, config: ExperimentConfig) -> 
 
     For every class and repeat, samples the configured number of graphs,
     runs the full median search, and records both sums of distances with
-    the wall time of each phase. The descent starts from the set median
-    and only ever improves, so ``sod_gm <= sod_sm`` on every row.
+    the wall time of each phase. The descent starts from the set median,
+    so ``sod_gm <= sod_sm`` on every row up to the rounding step described
+    in :mod:`gmedian.median`.
     """
     rows: list[SodRow] = []
     for ci, label in enumerate(dataset.classes):

@@ -6,9 +6,14 @@ coordinate of the candidate median has a closed-form optimum (majority
 label, attribute mean, or an edge-count threshold); with the median held
 fixed, each transformation is re-optimized by a configured solver and the
 new map is adopted only when it strictly improves on the previous one
-re-evaluated against the updated median. The sum of the transformation
-costs (an upper bound on the sum of distances, ``sod_upper``) therefore
-never increases. The candidate order is fixed by the initializer, the
+re-evaluated against the updated median. In exact arithmetic the sum of
+the transformation costs (an upper bound on the sum of distances,
+``sod_upper``) therefore never increases. In floating point, a median
+update at a tie (an edge kept or dropped at its threshold, a majority tie
+going to the smaller label) changes the per-member costs but not their
+exact sum, and under constants such as 0.1 their rounded sum can come out
+a rounding step higher; with label attributes and integer constants every
+sum is exact. The candidate order is fixed by the initializer, the
 collection member minimizing the sum of estimated distances (set median).
 """
 
@@ -100,10 +105,20 @@ class SubstitutionSets:
     ``(p, k)``, median vertex ``i`` substituted to vertex ``k`` of member
     ``p``; ``edge_sets[(i, j)]`` (i < j, present only when non-empty) lists
     ``(p, (k, l))``, the pair mapped onto the edge ``(k, l)`` of member ``p``.
+
+    ``values`` has shape (m, n) for labels or (m, n, d) for vectors:
+    ``values[p, i]`` is the attribute of the vertex of member ``p`` that
+    median vertex ``i`` is substituted to, 0 where ``i`` is removed.
+    ``labels`` has shape (m, n, n): ``labels[p, i, j]`` is the entry of
+    member ``p``'s edge-attribute matrix at the images of ``i`` and ``j``,
+    0 where either is removed; it is ``None`` unless the median and every
+    member have labelled edges.
     """
 
     targets: np.ndarray
     edges: np.ndarray
+    values: np.ndarray
+    labels: np.ndarray | None
 
     @property
     def vertex_sets(self) -> list[list[tuple[int, int]]]:
@@ -182,14 +197,22 @@ def set_median(
 def collect_substitution_sets(
     state: MedianState, collection: list[AttributedGraph]
 ) -> SubstitutionSets:
-    """Read every member through its map onto the median's vertices."""
-    n = state.median.order
-    targets = np.full((len(collection), n), -1, dtype=np.int64)
-    edges = np.zeros((len(collection), n, n), dtype=np.int8)
+    """Read every member through its map onto the median's vertices, once per member."""
+    median = state.median
+    m, n = len(collection), median.order
+    targets = np.full((m, n), -1, dtype=np.int64)
+    edges = np.zeros((m, n, n), dtype=np.int8)
+    values = np.zeros((m, *median.vertex_attrs.shape), median.vertex_attrs.dtype)
+    labelled = median.edge_mode == LABEL and all(gp.edge_mode == LABEL for gp in collection)
+    labels = np.zeros((m, n, n), dtype=np.int64) if labelled else None
     for p, (t, gp) in enumerate(zip(state.transformations, collection)):
-        targets[p] = np.where(t.substituted, t.forward, -1)
+        sub = t.substituted
+        targets[p] = np.where(sub, t.forward, -1)
+        values[p, sub] = gp.vertex_attrs[t.forward[sub]]
         edges[p] = _projected(gp.adjacency, t.forward)
-    return SubstitutionSets(targets, edges)
+        if labels is not None:
+            labels[p] = _projected(gp.edge_attrs, t.forward)
+    return SubstitutionSets(targets, edges, values, labels)
 
 
 def _majority(filled: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,22 +230,11 @@ def _majority(filled: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nd
     return label, top
 
 
-def _vertex_values(
-    median: AttributedGraph, sets: SubstitutionSets, collection: list[AttributedGraph]
-) -> np.ndarray:
-    """Attributes of the member vertices under each median vertex, shape (m, n, ...); 0 where removed."""
-    values = np.zeros(sets.targets.shape + median.vertex_attrs.shape[1:], median.vertex_attrs.dtype)
-    for p, (targets, gp) in enumerate(zip(sets.targets, collection)):
-        sub = targets >= 0
-        values[p, sub] = gp.vertex_attrs[targets[sub]]
-    return values
-
-
 def update_vertex_labels(
     median: AttributedGraph, sets: SubstitutionSets, collection: list[AttributedGraph]
 ) -> np.ndarray:
     """Majority label over the substituted positions; unchanged when none."""
-    label, top = _majority(sets.targets >= 0, _vertex_values(median, sets, collection))
+    label, top = _majority(sets.targets >= 0, sets.values)
     return np.where(top > 0, label, median.vertex_attrs)
 
 
@@ -232,9 +244,8 @@ def update_vertex_vectors(
     """Mean of the substituted attribute vectors; unchanged when none."""
     phi = median.vertex_attrs.copy()
     sub = sets.targets >= 0
-    points = _vertex_values(median, sets, collection)
     for i in np.flatnonzero(sub.any(axis=0)):
-        phi[i] = np.mean(points[sub[:, i], i], axis=0)
+        phi[i] = np.mean(sets.values[sub[:, i], i], axis=0)
     return phi
 
 
@@ -255,14 +266,13 @@ def update_edges_labeled(
     """
     if not isinstance(model.edge_subst, LabelDelta):
         raise ValueError("labeled edge update needs a label-delta edge cost")
+    if sets.labels is None:
+        raise ValueError("labeled edge update needs labelled edges on the median and every member")
     m = len(collection)
     ces = model.edge_subst.cost
     cer, cei = model.c_er, model.c_ei
     mapped = sets.edges == 1
-    labels = np.zeros(sets.edges.shape, dtype=np.int64)
-    for p, (targets, gp) in enumerate(zip(sets.targets, collection)):
-        labels[p] = _projected(gp.edge_attrs, np.where(targets >= 0, targets, gp.order))
-    top_label, top = _majority(mapped, labels)
+    top_label, top = _majority(mapped, sets.labels)
     s = mapped.sum(axis=0)
     if ces > 0:
         # the diagonal and the unmapped pairs have s = top = 0 and are never kept
@@ -348,8 +358,8 @@ def compute_median(
     transformation update using ``config.ged_phase2``, until neither the
     median (exact labels/adjacency, 1e-9 per vector coordinate) nor any
     forward map changes, or ``max_iters`` is hit. The trace starts with the
-    initial state as iteration 0 and its ``sod_upper`` values never
-    increase.
+    initial state as iteration 0; its ``sod_upper`` values never increase
+    but by the rounding step of the module docstring.
     """
     if not collection:
         raise ValueError("collection must be non-empty")

@@ -37,7 +37,9 @@ Every other method runs one pipeline per pair of graphs:
    value is within ``_SCREEN_MARGIN`` of the best so far: no other can win.
 
 Every result carries a concrete transformation whose true cost is the
-reported value, so heuristic outputs are always valid upper bounds.
+reported value, so heuristic outputs are always valid upper bounds. A pair
+with an empty side has one map, which every method returns and reports as
+exact.
 """
 
 from __future__ import annotations
@@ -361,9 +363,7 @@ def _solve(model: CostModel, g: AttributedGraph, g2: AttributedGraph, config: Ge
     refine = config.method in ("ipfp", "mipfp")
     visited = (_ipfp_refine(form, f) if refine else [(f, None)] for f in starts)
     cost, forward = form.cheapest(itertools.chain.from_iterable(visited))
-    # the plain bipartite bound between two empty graphs is their one map
-    exact = n + n2 == 0 and config.method == "bipartite"
-    return GedResult(transformation_from_forward(forward, n, n2), cost, exact)
+    return GedResult(transformation_from_forward(forward, n, n2), cost, min(n, n2) == 0)
 
 
 def solve_ged(

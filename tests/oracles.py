@@ -258,6 +258,35 @@ def loop_substitution_sets(state, collection: list[AttributedGraph]):
     return vertex_sets, edge_sets
 
 
+def loop_member_values(state, collection: list[AttributedGraph]):
+    """``(values, labels)`` of a descent state, entry by entry.
+
+    ``values[p, i]`` is the attribute of the vertex of member p that median
+    vertex i is substituted to, 0 where i is removed. ``labels[p, i, j]`` is
+    member p's edge-attribute entry at the images of i and j, 0 where either
+    is removed; ``labels`` is None unless the median and every member have
+    labelled edges.
+    """
+    median = state.median
+    n = median.order
+    values = np.zeros((len(collection), *median.vertex_attrs.shape), median.vertex_attrs.dtype)
+    labelled = median.edge_mode == LABEL and all(gp.edge_mode == LABEL for gp in collection)
+    labels = np.zeros((len(collection), n, n), dtype=np.int64) if labelled else None
+    for p, (t, gp) in enumerate(zip(state.transformations, collection)):
+        for i in range(n):
+            k = int(t.forward[i])
+            if k == t.target_order:
+                continue
+            values[p, i] = gp.vertex_attrs[k]
+            if labels is None:
+                continue
+            for j in range(n):
+                l = int(t.forward[j])
+                if l < t.target_order:
+                    labels[p, i, j] = gp.edge_attrs[k, l]
+    return values, labels
+
+
 def _loop_majority(counts: Counter) -> tuple[int, int]:
     top = max(counts.values())
     label = min(lab for lab, c in counts.items() if c == top)

@@ -81,6 +81,15 @@ def test_ged_exact(graph_files, capsys):
     assert out.splitlines()[2].startswith("map ")
 
 
+def test_ged_with_an_empty_side_is_exact_under_the_default_method(tmp_path, capsys):
+    """Removing one graph whole is the pair's one map, so a heuristic reports it as exact."""
+    g, empty = tmp_path / "g.gmg", tmp_path / "empty.gmg"
+    save_graph(build_graph(3, [1, 2, 2], [(0, 1, 1), (1, 2, 2)]), g)
+    save_graph(build_graph(0, [], edge_labels=True), empty)
+    assert main(["ged", str(g), str(empty)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["cost 15", "exact yes", "map 0->x 1->x 2->x"]
+
+
 def test_ged_respects_cost_flag(graph_files, capsys):
     a, _ = graph_files
     assert main(["ged", a, a, "--method", "exact", "--cost", "c_vs=2,c_es=0.5"]) == 0

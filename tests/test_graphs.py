@@ -115,9 +115,6 @@ def test_forward_reverse_roundtrip(pair):
     assert t.forward.tolist() == [0, 2, 1, 3]
     assert t.reverse.tolist() == [0, 2, 1]
     assert t.substituted.tolist() == [True, True, True, False]
-    assert t.n_substituted == 3
-    assert t.n_removed == 1
-    assert t.n_inserted == 0
     inv = t.inverse()
     assert inv.forward.tolist() == [0, 2, 1]
     assert inv.inverse().forward.tolist() == t.forward.tolist()
@@ -126,7 +123,6 @@ def test_forward_reverse_roundtrip(pair):
 def test_identity_transformation():
     t = identity_transformation(3)
     assert t.forward.tolist() == [0, 1, 2]
-    assert t.n_removed == 0 and t.n_inserted == 0
 
 
 def test_transformation_validation():

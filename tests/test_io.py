@@ -301,7 +301,6 @@ def test_parse_collection(tmp_path):
     assert [r.class_label for r in ds.records] == ["alpha", "beta"]
     assert [r.graph_id for r in ds.records] == ["g0", "g1"]
     assert ds.classes == ["alpha", "beta"]
-    assert len(ds.by_class("alpha")) == 1
     # codec is shared across files: O means the same integer everywhere
     assert ds.records[0].graph.vertex_attrs[1] == ds.records[1].graph.vertex_attrs[1]
 

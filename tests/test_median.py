@@ -36,6 +36,7 @@ from oracles import (
     fixed_maps_sod,
     loop_edges_labeled,
     loop_edges_unlabeled,
+    loop_member_values,
     loop_substitution_sets,
     loop_vertex_labels,
     loop_vertex_vectors,
@@ -303,6 +304,11 @@ def test_updates_match_loop_reference():
                     vertex_sets, edge_sets = loop_substitution_sets(state, members)
                     assert sets.vertex_sets == vertex_sets
                     assert list(sets.edge_sets.items()) == list(edge_sets.items())
+                    values, labels = loop_member_values(state, members)
+                    assert _identical(sets.values, values)
+                    assert (sets.labels is None) == (labels is None) == (edge_mode == "none")
+                    if labels is not None:
+                        assert _identical(sets.labels, labels)
                     if vertex_mode == "label":
                         got = update_vertex_labels(median, sets, members)
                         assert _identical(got, loop_vertex_labels(median, vertex_sets, members))
@@ -423,6 +429,16 @@ def test_labeled_edge_update_rejects_an_unlabelled_edge_model():
     sets = collect_substitution_sets(MedianState(median, [identity_transformation(2)], 0.0, 0), members)
     with pytest.raises(ValueError, match="labeled edge update needs a label-delta edge cost"):
         update_edges_labeled(median, sets, members, make_cost_model(edge_mode="none"))
+
+
+def test_labeled_edge_update_rejects_a_member_without_edge_labels():
+    median = build_graph(2, [1, 1], [(0, 1, 1)])
+    members = [build_graph(2, [1, 2], [(0, 1, 2)]), build_graph(2, [1, 2], [(0, 1)])]
+    state = MedianState(median, [identity_transformation(2)] * 2, 0.0, 0)
+    sets = collect_substitution_sets(state, members)
+    assert sets.labels is None
+    with pytest.raises(ValueError, match="labelled edges on the median and every member"):
+        update_edges_labeled(median, sets, members, make_cost_model())
 
 
 def test_median_result_survives_pickle_and_deepcopy():

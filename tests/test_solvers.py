@@ -701,7 +701,8 @@ def test_empty_graph_pairs():
         assert r.cost == 0.0
 
 
-# (cost, forward, is_exact) per pair, recorded from the per-method solvers that preceded the shared pipeline
+# (cost, forward, is_exact) per pair, recorded from the per-method solvers that preceded the shared pipeline;
+# every method reports a pair with an empty side, which has one map, as exact
 PINNED = {
     ("label", "exact"): [(12.5, (4, 5, 1, 0, 3, 2), True), (25.5, (0, 2, 3, 5, 4), True), (27.0, (2, 3, 0), True)],
     ("label", "bipartite"): [(19.5, (4, 0, 5, 3, 2, 1), False), (33.0, (3, 1, 2, 4, 5), False), (31.0, (1, 3, 0), False)],
@@ -714,10 +715,10 @@ PINNED = {
     ("vector", "mbipartite"): [(32.300757, (0, 3, 1, 5, 2), False), (24.769405, (4, 0, 4, 3, 1, 2), False)],
     ("vector", "mipfp"): [(23.429388000000003, (4, 5, 1, 0, 2), False), (19.464163, (4, 2, 4, 3, 1, 0), False)],
     ("empty", "exact"): [(15.0, (), True), (15.0, (0, 0, 0), True), (0.0, (), True)],
-    ("empty", "bipartite"): [(15.0, (), False), (15.0, (0, 0, 0), False), (0.0, (), True)],
-    ("empty", "ipfp"): [(15.0, (), False), (15.0, (0, 0, 0), False), (0.0, (), False)],
-    ("empty", "mbipartite"): [(15.0, (), False), (15.0, (0, 0, 0), False), (0.0, (), False)],
-    ("empty", "mipfp"): [(15.0, (), False), (15.0, (0, 0, 0), False), (0.0, (), False)],
+    ("empty", "bipartite"): [(15.0, (), True), (15.0, (0, 0, 0), True), (0.0, (), True)],
+    ("empty", "ipfp"): [(15.0, (), True), (15.0, (0, 0, 0), True), (0.0, (), True)],
+    ("empty", "mbipartite"): [(15.0, (), True), (15.0, (0, 0, 0), True), (0.0, (), True)],
+    ("empty", "mipfp"): [(15.0, (), True), (15.0, (0, 0, 0), True), (0.0, (), True)],
 }
 
 
