@@ -137,10 +137,11 @@ def run_sod_experiment(dataset: DatasetDescriptor, config: ExperimentConfig) -> 
 
     For every class and repeat, samples the configured number of graphs,
     runs the full median search, and records both sums of distances with
-    the wall time of each phase. The descent starts from the set median,
-    so ``sod_gm <= sod_sm`` on every row up to the rounding step described
-    in :mod:`gmedian.median`.
+    the wall time of each phase. The descent starts from the set median
+    and never raises the SOD, so ``sod_gm <= sod_sm`` on every row.
     """
+    if not dataset.records:
+        raise HarnessError(f"dataset {dataset.name!r} has no graphs")
     rows: list[SodRow] = []
     for ci, label in enumerate(dataset.classes):
         members = [i for i, r in enumerate(dataset.records) if r.class_label == label]

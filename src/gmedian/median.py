@@ -6,14 +6,11 @@ coordinate of the candidate median has a closed-form optimum (majority
 label, attribute mean, or an edge-count threshold); with the median held
 fixed, each transformation is re-optimized by a configured solver and the
 new map is adopted only when it strictly improves on the previous one
-re-evaluated against the updated median. In exact arithmetic the sum of
-the transformation costs (an upper bound on the sum of distances,
-``sod_upper``) therefore never increases. In floating point, a median
-update at a tie (an edge kept or dropped at its threshold, a majority tie
-going to the smaller label) changes the per-member costs but not their
-exact sum, and under constants such as 0.1 their rounded sum can come out
-a rounding step higher; with label attributes and integer constants every
-sum is exact. The candidate order is fixed by the initializer, the
+re-evaluated against the updated median. The sum of the transformation
+costs (an upper bound on the sum of distances, ``sod_upper``) therefore
+never increases: a step whose rounded sum would come out higher (a median
+move at a tie, under constants such as 0.1) is undone, and the descent
+stops there. The candidate order is fixed by the initializer, the
 collection member minimizing the sum of estimated distances (set median).
 """
 
@@ -148,16 +145,32 @@ class SetMedianResult:
 
 @dataclass
 class MedianResult:
+    """The median, its maps and the descent trace, which holds every SOD.
+
+    ``converged``: the last step changed neither the median nor any map.
+    ``iterations`` counts the kept steps; below the cap without
+    ``converged``, the descent stopped at a step it undid.
+    """
+
     median: AttributedGraph
     transformations: list[Transformation]
     trace: list[IterationRecord]
-    sod: float
     set_median_index: int
-    set_median_sod: float
-    iterations: int
     converged: bool
     t_phase1: float
     t_phase2: float
+
+    @property
+    def sod(self) -> float:
+        return self.trace[-1].sod_upper
+
+    @property
+    def set_median_sod(self) -> float:
+        return self.trace[0].sod_upper
+
+    @property
+    def iterations(self) -> int:
+        return self.trace[-1].iteration
 
 
 def _child_seed(base: int, *tags: int) -> int:
@@ -208,7 +221,8 @@ def collect_substitution_sets(
     for p, (t, gp) in enumerate(zip(state.transformations, collection)):
         sub = t.substituted
         targets[p] = np.where(sub, t.forward, -1)
-        values[p, sub] = gp.vertex_attrs[t.forward[sub]]
+        if sub.any():  # an empty member may state a vector width of its own
+            values[p, sub] = gp.vertex_attrs[t.forward[sub]]
         edges[p] = _projected(gp.adjacency, t.forward)
         if labels is not None:
             labels[p] = _projected(gp.edge_attrs, t.forward)
@@ -348,6 +362,44 @@ def update_transformations(
     return new_ts, float(sum(costs)), changed
 
 
+def _descend(
+    model: CostModel,
+    collection: list[AttributedGraph],
+    state: MedianState,
+    config: GedSolverConfig,
+    max_iters: int,
+) -> tuple[MedianState, list[IterationRecord], bool]:
+    """Phase 2 from ``state``, up to step ``max_iters``; step ``it`` seeds its solves by ``(it, p)``.
+
+    A step whose ``sod_upper`` exceeds the previous one is undone, left out
+    of the trace, and ends the descent. Returns the final state, the trace
+    from ``state`` on, and whether the last kept step was a fixed point.
+    """
+    trace = [IterationRecord(state.iteration, state.sod_upper, 0, 0.0)]
+    log.info("iteration=%d sod_upper=%.12g changed=0", state.iteration, state.sod_upper)
+    converged = False
+    for it in range(state.iteration + 1, max_iters + 1):
+        tick = time.perf_counter()
+        median = _updated_median(state, collection, model)
+        maps, sod_upper, changed = update_transformations(
+            median, state.transformations, collection, model, config, iteration=it
+        )
+        if sod_upper > state.sod_upper:
+            log.info("iteration=%d sod_upper=%.12g rose, step undone", it, sod_upper)
+            break
+        # a map is replaced only by a strictly cheaper, hence different, one
+        converged = changed == 0 and graphs_equal(median, state.median, vec_tol=_VEC_TOL)
+        state = MedianState(median, maps, sod_upper, it)
+        seconds = time.perf_counter() - tick
+        trace.append(IterationRecord(it, sod_upper, changed, seconds))
+        log.info(
+            "iteration=%d sod_upper=%.12g changed=%d seconds=%.4f", it, sod_upper, changed, seconds
+        )
+        if converged:
+            break
+    return state, trace, converged
+
+
 def compute_median(
     model: CostModel, collection: list[AttributedGraph], config: DescentConfig = DescentConfig()
 ) -> MedianResult:
@@ -357,9 +409,9 @@ def compute_median(
     alternates the closed-form median update with the keep-if-better
     transformation update using ``config.ged_phase2``, until neither the
     median (exact labels/adjacency, 1e-9 per vector coordinate) nor any
-    forward map changes, or ``max_iters`` is hit. The trace starts with the
-    initial state as iteration 0; its ``sod_upper`` values never increase
-    but by the rounding step of the module docstring.
+    forward map changes, ``max_iters`` is hit, or a step would raise
+    ``sod_upper`` (that step is undone). The trace starts with the set
+    median as iteration 0, and its ``sod_upper`` values never increase.
     """
     if not collection:
         raise ValueError("collection must be non-empty")
@@ -368,47 +420,9 @@ def compute_median(
 
     t0 = time.perf_counter()
     sm = set_median(model, collection, config.ged_phase1)
-    t_phase1 = time.perf_counter() - t0
-
+    t1 = time.perf_counter()
     # a copy of the set median, so its maps' costs and their row sum are already known
-    median = replace(collection[sm.index], graph_id="median")
-    transformations = sm.transformations
-    sod_upper = sm.sod
-    trace = [IterationRecord(0, sod_upper, 0, 0.0)]
-    log.info("iteration=0 sod_upper=%.12g changed=0", sod_upper)
-
-    t0 = time.perf_counter()
-    converged = False
-    iterations = 0
-    for it in range(1, config.max_iters + 1):
-        tick = time.perf_counter()
-        state = MedianState(median, transformations, sod_upper, it)
-        new_median = _updated_median(state, collection, model)
-        new_ts, sod_upper, changed = update_transformations(
-            new_median, transformations, collection, model, config.ged_phase2, iteration=it
-        )
-        # a map is replaced only by a strictly cheaper, hence different, one
-        converged = changed == 0 and graphs_equal(new_median, median, vec_tol=_VEC_TOL)
-        median, transformations = new_median, new_ts
-        seconds = time.perf_counter() - tick
-        trace.append(IterationRecord(it, sod_upper, changed, seconds))
-        log.info(
-            "iteration=%d sod_upper=%.12g changed=%d seconds=%.4f", it, sod_upper, changed, seconds
-        )
-        iterations = it
-        if converged:
-            break
-    t_phase2 = time.perf_counter() - t0
-
-    return MedianResult(
-        median=median,
-        transformations=transformations,
-        trace=trace,
-        sod=sod_upper,
-        set_median_index=sm.index,
-        set_median_sod=sm.sod,
-        iterations=iterations,
-        converged=converged,
-        t_phase1=t_phase1,
-        t_phase2=t_phase2,
-    )
+    start = MedianState(replace(collection[sm.index], graph_id="median"), sm.transformations, sm.sod, 0)
+    state, trace, converged = _descend(model, collection, start, config.ged_phase2, config.max_iters)
+    t2 = time.perf_counter()
+    return MedianResult(state.median, state.transformations, trace, sm.index, converged, t1 - t0, t2 - t1)

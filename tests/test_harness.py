@@ -136,6 +136,12 @@ def test_sod_experiment_oversampling_rejected():
         run_sod_experiment(dataset, config)
 
 
+def test_sod_experiment_rejects_a_dataset_without_graphs():
+    dataset = DatasetDescriptor("none", "label", 0, "label", [], None, None)
+    with pytest.raises(HarnessError, match="dataset 'none' has no graphs"):
+        run_sod_experiment(dataset, ExperimentConfig(model=make_cost_model()))
+
+
 def test_classification_separated_classes():
     dataset = separated_dataset()
     config = ExperimentConfig(

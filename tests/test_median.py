@@ -16,6 +16,7 @@ from gmedian import (
     graphs_equal,
     identity_transformation,
     make_cost_model,
+    read_graph,
     set_median,
     transformation_cost,
     transformation_from_forward,
@@ -541,10 +542,56 @@ def test_converged_exactly_when_the_last_step_changes_nothing(vertex_mode):
         for max_iters in (1, 2, 100):
             result = compute_median(model, collection, replace(DESCENT, max_iters=max_iters))
             last = result.trace[-1]
-            if result.iterations < max_iters:  # stopped early, so on a fixed point
+            if result.iterations < max_iters:  # no step of these runs is undone, so an early stop is a fixed point
                 assert result.converged and last.changed == 0
             if last.changed:
                 assert not result.converged and result.iterations == max_iters
             outcomes.add((result.converged, last.changed > 0))
     # both sides are exercised: a fixed point, and a cut run whose last step moved a map
     assert {(True, False), (False, True)} <= outcomes
+
+
+def _non_dyadic_descent(seed):
+    """A collection whose tenth-valued costs round, descended at 3 starts per phase."""
+    model = make_cost_model(c_vs=1.1, c_es=0.3, c_vr=0.7, c_vi=0.7, c_er=0.1, c_ei=0.2)
+    rng = np.random.default_rng(seed)
+    collection = [random_graph(rng, int(rng.integers(2, 7)), edge_values=(1, 2)) for _ in range(int(rng.integers(3, 12)))]
+    config = DescentConfig(
+        ged_phase1=GedSolverConfig(method="mbipartite", multistart_count=3, rng_seed=seed),
+        ged_phase2=GedSolverConfig(method="mipfp", multistart_count=3, rng_seed=seed),
+    )
+    return compute_median(model, collection, config)
+
+
+@pytest.mark.parametrize("seed", [47, 60, 69, 100, 107])
+def test_a_step_that_rounds_the_sod_up_is_undone(seed):
+    # without the guard each of these traces rises by a rounding step, and all but seed 100 end above
+    # the set median's SOD: a median move at a tie changes the per-member costs but not their exact sum
+    result = _non_dyadic_descent(seed)
+    sods = [r.sod_upper for r in result.trace]
+    assert all(b <= a for a, b in zip(sods, sods[1:]))
+    assert result.sod <= result.set_median_sod
+
+
+def test_an_undone_step_stops_the_descent_unconverged():
+    # seed 47 used to read [3.4, 3.4000000000000004, 3.4000000000000004]: its first step is undone
+    first = _non_dyadic_descent(47)
+    assert [r.sod_upper for r in first.trace] == [3.4]
+    assert not first.converged and first.iterations == 0
+    # seed 100's second step would have risen to 21.500000000000004
+    second = _non_dyadic_descent(100)
+    assert [r.sod_upper for r in second.trace] == [23.900000000000002, 21.5]
+    assert not second.converged and second.iterations == 1
+
+
+def test_compute_median_of_an_empty_vector_graph_of_another_width():
+    # an order-0 graph states its own vector width; it has no vertex to compare
+    with pytest.warns(RuntimeWarning):
+        model = make_cost_model("vector", "none")
+    empty = read_graph("gmg 1 0 vector none\n")
+    points = build_graph(3, [[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+    assert empty.vertex_attrs.shape == (0, 1)
+    result = compute_median(model, [empty, points], DESCENT)
+    assert result.sod == 9.0
+    assert result.median.order == 0
+    assert result.converged
