@@ -139,17 +139,18 @@ def make_cost_model(
     return CostModel(c_vr, c_vi, c_er, c_ei, vs, es)
 
 
-def check_model_compatible(model: CostModel, g: AttributedGraph) -> None:
-    if model.vertex_mode != g.vertex_mode:
-        raise CostModelError(
-            f"cost model expects {model.vertex_mode} vertex attributes, "
-            f"graph {g.graph_id!r} has {g.vertex_mode}"
-        )
-    if model.edge_mode != g.edge_mode:
-        raise CostModelError(
-            f"cost model expects {model.edge_mode} edge attributes, "
-            f"graph {g.graph_id!r} has {g.edge_mode}"
-        )
+def check_model_compatible(model: CostModel, *graphs: AttributedGraph) -> None:
+    """CostModelError unless each graph has the model's vertex and edge modes and the graphs with
+    vertices share one vector width: the rule under which the model prices maps among them."""
+    for g in graphs:
+        modes = (("vertex", model.vertex_mode, g.vertex_mode), ("edge", model.edge_mode, g.edge_mode))
+        for kind, expected, got in modes:
+            if got != expected:
+                raise CostModelError(
+                    f"cost model expects {expected} {kind} attributes, graph {g.graph_id!r} has {got}"
+                )
+    if len({g.vector_dim for g in graphs if g.order}) > 1:  # zero vertices show no vector width
+        raise CostModelError("vector substitution needs two equal-length vectors")
 
 
 def _vertex_subst_matrix(model: CostModel, phi: np.ndarray, phi2: np.ndarray) -> np.ndarray:
@@ -159,8 +160,6 @@ def _vertex_subst_matrix(model: CostModel, phi: np.ndarray, phi2: np.ndarray) ->
         return np.zeros((n, n2))
     if isinstance(model.vertex_subst, LabelDelta):
         return model.vertex_subst.cost * (phi[:, None] != phi2[None, :])
-    if phi.shape[1] != phi2.shape[1]:
-        raise CostModelError("vector substitution needs two equal-length vectors")
     return _squared_distances(phi[:, None, :], phi2[None, :, :])
 
 
@@ -227,9 +226,10 @@ def _checked(model: CostModel, total: float, f: np.ndarray, g: AttributedGraph, 
 def forward_cost(model: CostModel, forward: np.ndarray, g: AttributedGraph, g2: AttributedGraph) -> float:
     """Cost of the raw forward map ``forward`` from ``g`` to ``g2``.
 
-    The map is not validated and no :class:`Transformation` is built; the
-    model must be compatible with both graphs.
+    The map is not validated and no :class:`Transformation` is built; a
+    model incompatible with the graphs is a CostModelError.
     """
+    check_model_compatible(model, g, g2)
     f = np.asarray(forward, dtype=np.int64)
     return _checked(model, _map_cost(model, f, g, g2), f, g, g2)
 
@@ -268,11 +268,7 @@ def _stack_costs(
 def transformation_cost(
     model: CostModel, t: Transformation, g: AttributedGraph, g2: AttributedGraph
 ) -> float:
-    """Cost of ``t`` from ``g`` to ``g2`` under a model compatible with both graphs, as the solvers require."""
+    """Cost of ``t`` from ``g`` to ``g2``: :func:`forward_cost` of its map, once its orders match the graphs."""
     if t.source_order != g.order or t.target_order != g2.order:
         raise CostModelError("transformation orders do not match the graphs")
-    check_model_compatible(model, g)
-    check_model_compatible(model, g2)
-    if g.order and g2.order and g.vector_dim != g2.vector_dim:
-        raise CostModelError("vector substitution needs two equal-length vectors")
     return forward_cost(model, t.forward, g, g2)

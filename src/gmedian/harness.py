@@ -39,12 +39,25 @@ class HarnessError(ValueError):
     """Degenerate experiment configuration for the given dataset."""
 
 
+def _csv(rows: list[list]) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def _table(widths: tuple[int, ...], rows: list[list]) -> str:
+    """Cells padded to ``widths``, left-aligned in the first column and right-aligned in the rest."""
+    aligns = ["<"] + [">"] * (len(widths) - 1)
+    return "\n".join("".join(f"{c:{a}{w}}" for c, a, w in zip(row, aligns, widths)) for row in rows)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Sampling plan plus the descent configuration to run per class.
 
-    ``per_class_sample`` below 1.0 is a fraction of each class (rounded,
-    at least one graph); 1.0 and above is an absolute count, a whole number.
+    ``per_class_sample`` below 1.0 is a fraction of each class, rounded
+    half to even and at least one graph (0.5 samples 2 of 5 graphs and 4
+    of 7); 1.0 and above is an absolute count, a whole number.
     """
 
     model: CostModel
@@ -94,28 +107,19 @@ class SodReport:
     def mean_sod_gm(self) -> float:
         return float(np.mean([r.sod_gm for r in self.rows]))
 
+    def _cells(self, sod: str, t: str) -> list[list]:
+        """The header, then the rows with their SODs in format ``sod`` and their times in format ``t``."""
+        return [["class", "repeat", "sod_sm", "t_sm", "sod_gm", "t_gm"]] + [
+            [r.class_label, r.repeat, f"{r.sod_sm:{sod}}", f"{r.t_sm:{t}}", f"{r.sod_gm:{sod}}", f"{r.t_gm:{t}}"]
+            for r in self.rows
+        ]
+
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["class", "repeat", "sod_sm", "t_sm", "sod_gm", "t_gm"])
-        for r in self.rows:
-            writer.writerow(
-                [r.class_label, r.repeat, f"{r.sod_sm:.6f}", f"{r.t_sm:.4f}", f"{r.sod_gm:.6f}", f"{r.t_gm:.4f}"]
-            )
-        return out.getvalue()
+        return _csv(self._cells(".6f", ".4f"))
 
     def to_table(self) -> str:
-        header = f"{'class':<12}{'repeat':>8}{'sod_sm':>14}{'t_sm':>10}{'sod_gm':>14}{'t_gm':>10}"
-        lines = [header]
-        for r in self.rows:
-            lines.append(
-                f"{r.class_label:<12}{r.repeat:>8}{r.sod_sm:>14.4f}{r.t_sm:>10.3f}"
-                f"{r.sod_gm:>14.4f}{r.t_gm:>10.3f}"
-            )
-        lines.append(
-            f"{'mean':<12}{'':>8}{self.mean_sod_sm:>14.4f}{'':>10}{self.mean_sod_gm:>14.4f}{'':>10}"
-        )
-        return "\n".join(lines)
+        mean = ["mean", "", f"{self.mean_sod_sm:.4f}", "", f"{self.mean_sod_gm:.4f}", ""]
+        return _table((12, 8, 14, 10, 14, 10), [*self._cells(".4f", ".3f"), mean])
 
 
 def _derived_descent(config: ExperimentConfig, *tags: int) -> DescentConfig:
@@ -127,9 +131,20 @@ def _derived_descent(config: ExperimentConfig, *tags: int) -> DescentConfig:
     )
 
 
-def _sample(rng: np.random.Generator, indices: list[int], k: int) -> list[int]:
-    picked = rng.permutation(len(indices))[:k]
-    return sorted(indices[i] for i in picked)
+def _split_class(
+    dataset: DatasetDescriptor, config: ExperimentConfig, label: str, *tags: int, keep_test: bool
+) -> tuple[list[AttributedGraph], list[AttributedGraph]]:
+    """Class ``label``'s sample, drawn by the generator seeded ``(config.rng_seed, *tags)``, and the rest of it,
+    both in dataset order; with ``keep_test`` the rest must not be empty."""
+    members = [r.graph for r in dataset.records if r.class_label == label]
+    k = config.sample_size(len(members))
+    if keep_test and k >= len(members):
+        raise HarnessError(f"class {label!r} has {len(members)} graphs; sampling {k} leaves no test set")
+    if k > len(members):
+        raise HarnessError(f"class {label!r} has {len(members)} graphs, cannot sample {k}")
+    rng = np.random.default_rng(np.random.SeedSequence([config.rng_seed, *tags]))
+    picked = set(rng.permutation(len(members))[:k].tolist())
+    return [g for i, g in enumerate(members) if i in picked], [g for i, g in enumerate(members) if i not in picked]
 
 
 def run_sod_experiment(dataset: DatasetDescriptor, config: ExperimentConfig) -> SodReport:
@@ -144,26 +159,10 @@ def run_sod_experiment(dataset: DatasetDescriptor, config: ExperimentConfig) -> 
         raise HarnessError(f"dataset {dataset.name!r} has no graphs")
     rows: list[SodRow] = []
     for ci, label in enumerate(dataset.classes):
-        members = [i for i, r in enumerate(dataset.records) if r.class_label == label]
-        k = config.sample_size(len(members))
-        if k > len(members):
-            raise HarnessError(
-                f"class {label!r} has {len(members)} graphs, cannot sample {k}"
-            )
         for rep in range(config.repeats):
-            rng = np.random.default_rng(np.random.SeedSequence([config.rng_seed, ci, rep]))
-            subset = [dataset.records[i].graph for i in _sample(rng, members, k)]
+            subset, _ = _split_class(dataset, config, label, ci, rep, keep_test=False)
             result = compute_median(config.model, subset, _derived_descent(config, ci, rep))
-            rows.append(
-                SodRow(
-                    class_label=label,
-                    repeat=rep,
-                    sod_sm=result.set_median_sod,
-                    t_sm=result.t_phase1,
-                    sod_gm=result.sod,
-                    t_gm=result.t_phase2,
-                )
-            )
+            rows.append(SodRow(label, rep, result.set_median_sod, result.t_phase1, result.sod, result.t_phase2))
     return SodReport(rows)
 
 
@@ -182,21 +181,18 @@ class ClassificationReport:
     per_mode: dict[str, ModeResult]
     repeats: int
 
+    def _cells(self, acc: str, t: str) -> list[list]:
+        """The header, then one row per mode with its accuracy in format ``acc`` and its times in format ``t``."""
+        return [["mode", "accuracy_pct", "time_s", "pt"]] + [
+            [m, f"{self.per_mode[m].accuracy_pct:{acc}}", f"{self.per_mode[m].time_s:{t}}", f"{self.pt:{t}}"]
+            for m in MODES
+        ]
+
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["mode", "accuracy_pct", "time_s", "pt"])
-        for mode in MODES:
-            r = self.per_mode[mode]
-            writer.writerow([mode, f"{r.accuracy_pct:.4f}", f"{r.time_s:.4f}", f"{self.pt:.4f}"])
-        return out.getvalue()
+        return _csv(self._cells(".4f", ".4f"))
 
     def to_table(self) -> str:
-        lines = [f"{'mode':<6}{'accuracy_pct':>14}{'time_s':>10}{'pt':>10}"]
-        for mode in MODES:
-            r = self.per_mode[mode]
-            lines.append(f"{mode:<6}{r.accuracy_pct:>14.2f}{r.time_s:>10.3f}{self.pt:>10.3f}")
-        return "\n".join(lines)
+        return _table((6, 14, 10, 10), self._cells(".2f", ".3f"))
 
 
 def run_classification(dataset: DatasetDescriptor, config: ExperimentConfig) -> ClassificationReport:
@@ -220,30 +216,19 @@ def run_classification(dataset: DatasetDescriptor, config: ExperimentConfig) -> 
     solver = config.descent.ged_phase2
 
     for rep in range(config.repeats):
-        train: dict[str, list[AttributedGraph]] = {}
-        test: list[tuple[int, AttributedGraph]] = []
-        for ci, label in enumerate(classes):
-            members = [i for i, r in enumerate(dataset.records) if r.class_label == label]
-            k = config.sample_size(len(members))
-            if k >= len(members):
-                raise HarnessError(
-                    f"class {label!r} has {len(members)} graphs; sampling {k} leaves no test set"
-                )
-            rng = np.random.default_rng(np.random.SeedSequence([config.rng_seed, 1, ci, rep]))
-            chosen = set(_sample(rng, members, k))
-            train[label] = [dataset.records[i].graph for i in sorted(chosen)]
-            test.extend((ci, dataset.records[i].graph) for i in members if i not in chosen)
+        splits = [
+            _split_class(dataset, config, label, 1, ci, rep, keep_test=True) for ci, label in enumerate(classes)
+        ]
+        test = [(ci, g) for ci, (_, rest) in enumerate(splits) for g in rest]
 
         references: dict[str, list[tuple[int, AttributedGraph]]] = {"sm": [], "gm": []}
         tick = time.perf_counter()
-        for ci, label in enumerate(classes):
-            result = compute_median(
-                config.model, train[label], _derived_descent(config, 1, ci, rep)
-            )
-            references["sm"].append((ci, train[label][result.set_median_index]))
+        for ci, (train, _) in enumerate(splits):
+            result = compute_median(config.model, train, _derived_descent(config, 1, ci, rep))
+            references["sm"].append((ci, train[result.set_median_index]))
             references["gm"].append((ci, result.median))
         pt_total += time.perf_counter() - tick
-        references["ts"] = [(ci, g) for ci, label in enumerate(classes) for g in train[label]]
+        references["ts"] = [(ci, g) for ci, (train, _) in enumerate(splits) for g in train]
 
         for mode, mode_tag in (("sm", 0), ("gm", 0), ("ts", 1)):
             tick = time.perf_counter()
@@ -259,12 +244,5 @@ def run_classification(dataset: DatasetDescriptor, config: ExperimentConfig) -> 
             per_mode_time[mode] += time.perf_counter() - tick
             per_mode_acc[mode].append(100.0 * correct / len(test))
 
-    per_mode = {
-        m: ModeResult(
-            accuracy_pct=float(np.mean(per_mode_acc[m])),
-            time_s=per_mode_time[m],
-            n_distance_evals=per_mode_evals[m],
-        )
-        for m in MODES
-    }
+    per_mode = {m: ModeResult(float(np.mean(per_mode_acc[m])), per_mode_time[m], per_mode_evals[m]) for m in MODES}
     return ClassificationReport(pt=pt_total, per_mode=per_mode, repeats=config.repeats)

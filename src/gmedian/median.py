@@ -415,8 +415,7 @@ def compute_median(
     """
     if not collection:
         raise ValueError("collection must be non-empty")
-    for g in collection:
-        check_model_compatible(model, g)
+    check_model_compatible(model, *collection)
 
     t0 = time.perf_counter()
     sm = set_median(model, collection, config.ged_phase1)

@@ -138,7 +138,7 @@ def ged_exact(model: CostModel, g: AttributedGraph, g2: AttributedGraph) -> GedR
             f"orders ({g.order}, {g2.order}) exceed the exact enumeration cap {_EXACT_ORDER_CAP}"
         )
     _whole_edit_cost(model, g, g2)
-    # unequal vector widths, or one vertex pair whose squared distance overflows, are rejected here
+    # names a vertex pair whose squared distance overflows, which the stacks below only sum to inf
     _vertex_subst_matrix(model, g.vertex_attrs, g2.vertex_attrs)
     n, n2 = g.order, g2.order
     best: tuple[float, tuple[int, ...]] = (np.inf, ())
@@ -165,8 +165,7 @@ def _whole_edit_cost(model: CostModel, g: AttributedGraph, g2: AttributedGraph) 
     Under label costs no map costs more, so a finite total keeps every cost
     a solver forms finite; a total that overflows is rejected by name.
     """
-    check_model_compatible(model, g)
-    check_model_compatible(model, g2)
+    check_model_compatible(model, g, g2)
     n, n2, e, e2 = g.order, g2.order, g.n_edges, g2.n_edges
     total = n * model.c_vr + n2 * model.c_vi + e * model.c_er + e2 * model.c_ei
     if not math.isfinite(total):

@@ -15,11 +15,13 @@ from gmedian import (
     SquaredEuclidean,
     ZeroCost,
     build_graph,
+    compute_median,
     make_cost_model,
     solve_ged,
     transformation_cost,
     transformation_from_forward,
 )
+from gmedian import median
 from gmedian.costs import check_model_compatible, forward_cost
 
 from oracles import (
@@ -253,6 +255,22 @@ def test_vectors_of_unequal_width_are_a_cost_model_error():
     # without vertices on one side there is no width to compare
     empty = build_graph(0, np.zeros((0, 3)), edge_labels=False)
     assert transformation_cost(model, transformation_from_forward([0, 0], 2, 0), g, empty) == 6.0
+
+
+def test_forward_cost_and_compute_median_reject_vectors_of_unequal_width(monkeypatch):
+    with pytest.warns(RuntimeWarning):
+        model = make_cost_model("vector", "none")
+    g = build_graph(2, np.zeros((2, 1)), edge_labels=False, graph_id="narrow")
+    g2 = build_graph(2, np.zeros((2, 3)), edge_labels=False, graph_id="wide")
+    with pytest.raises(CostModelError, match="vector substitution needs two equal-length vectors"):
+        forward_cost(model, np.array([0, 1]), g, g2)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the widths were checked")
+
+    monkeypatch.setattr(median, "solve_ged", no_solve)
+    with pytest.raises(CostModelError, match="vector substitution needs two equal-length vectors"):
+        compute_median(model, [g, g2])
 
 
 LABELLED = build_graph(3, [1, 2, 2], [(1, 2, 1), (0, 2, 4)])

@@ -340,3 +340,50 @@ assert len(failed) == 2 and lsap.linear_sum_assignment is scipy.optimize.linear_
 
 def test_loader_falls_back_when_the_retry_fails_too():
     _run_python(TWICE_FAILED_LOAD)
+
+
+RETRY_BRANCH = """
+import sys
+
+import numpy as np
+
+from gmedian import lsap
+
+real = lsap._load_kernel
+
+
+def failing(times):
+    calls = []
+
+    def load():
+        calls.append(None)
+        if len(calls) <= times:
+            raise ImportError("DLL load failed")
+        return real()
+
+    return calls, load
+
+
+def solves_two_by_two(fn):
+    rows, cols = fn(np.array([[4.0, 1.0], [2.0, 3.0]]))
+    return rows.tolist() == [0, 1] and cols.tolist() == [1, 0]
+
+
+# one failed load: scipy's set-up runs and the retry returns the kernel, still without scipy.optimize
+calls, lsap._load_kernel = failing(1)
+found = lsap._load_linear_sum_assignment()
+assert len(calls) == 2 and "scipy" in sys.modules and "scipy.optimize" not in sys.modules
+assert solves_two_by_two(found)
+
+# two failed loads: the public function
+calls, lsap._load_kernel = failing(2)
+found = lsap._load_linear_sum_assignment()
+import scipy.optimize
+
+assert len(calls) == 2 and found is scipy.optimize.linear_sum_assignment
+assert solves_two_by_two(found)
+"""
+
+
+def test_loader_retry_returns_the_kernel_then_the_public_function():
+    _run_python(RETRY_BRANCH)

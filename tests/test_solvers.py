@@ -780,7 +780,7 @@ def test_one_solve_builds_one_transformation(monkeypatch, method):
     model, pairs = _pinned_pairs("label")
     g, g2 = pairs[0]
     solve_ged(model, g, g2, GedSolverConfig(method=method, multistart_count=6))
-    assert calls == {"transformation": 1, "subst": 1, "check": 2}
+    assert calls == {"transformation": 1, "subst": 1, "check": 1}
 
 
 def test_vector_mode_solvers():
