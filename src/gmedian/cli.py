@@ -206,10 +206,7 @@ def _descent_config(config: dict) -> DescentConfig:
 
 
 def _format_forward(t) -> str:
-    parts = []
-    for i in range(t.source_order):
-        v = t.forward[i]
-        parts.append(f"{i}->{'x' if v >= t.target_order else int(v)}")
+    parts = [f"{i}->{'x' if v == t.target_order else v}" for i, v in enumerate(t.forward.tolist())]
     return " ".join(parts) if parts else "(empty)"
 
 

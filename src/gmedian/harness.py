@@ -123,12 +123,8 @@ class SodReport:
 
 
 def _derived_descent(config: ExperimentConfig, *tags: int) -> DescentConfig:
-    d = config.descent
-    return replace(
-        d,
-        ged_phase1=_seeded(d.ged_phase1, config.rng_seed, *tags),
-        ged_phase2=_seeded(d.ged_phase2, config.rng_seed, *tags),
-    )
+    d, seed = config.descent, config.rng_seed
+    return replace(d, ged_phase1=_seeded(d.ged_phase1, seed, *tags), ged_phase2=_seeded(d.ged_phase2, seed, *tags))
 
 
 def _split_class(

@@ -255,12 +255,22 @@ def update_vertex_labels(
 def update_vertex_vectors(
     median: AttributedGraph, sets: SubstitutionSets, collection: list[AttributedGraph]
 ) -> np.ndarray:
-    """Mean of the substituted attribute vectors; unchanged when none."""
-    phi = median.vertex_attrs.copy()
-    sub = sets.targets >= 0
-    for i in np.flatnonzero(sub.any(axis=0)):
-        phi[i] = np.mean(sets.values[sub[:, i], i], axis=0)
-    return phi
+    """Mean of the substituted attribute vectors; unchanged when none.
+
+    One sum over the members, divided by the substitution counts. At widths
+    of 2 or more numpy adds the members in order, as ``np.mean`` adds one
+    vertex's vectors, so the mean has those bits wherever they are finite.
+    Vectors that overflow in sum are summed again scaled by 2^-bitlen(m),
+    which is exact, so the mean of finite vectors is finite.
+    """
+    sub = (sets.targets >= 0)[..., None]
+    count = np.maximum(sub.sum(axis=0), 1)  # a vertex no member fills keeps its vector below
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = sets.values.sum(axis=0) / count
+    if not np.isfinite(mean).all():
+        b = len(collection).bit_length()
+        mean = np.where(np.isfinite(mean), mean, np.ldexp(np.ldexp(sets.values, -b).sum(axis=0) / count, b))
+    return np.where(sub.any(axis=0), mean, median.vertex_attrs)
 
 
 def update_edges_labeled(
@@ -273,24 +283,29 @@ def update_edges_labeled(
 
     Per vertex pair the best label is the majority label over the mapped
     edges; the edge exists iff keeping it beats dropping it, i.e. the
-    majority count strictly exceeds
+    majority count ``top`` strictly exceeds
     ``m * c_er / c_es + s * (1 - (c_er + c_ei) / c_es)`` where ``m`` is the
-    collection size and ``s`` the number of mapped edges. Ties drop the
-    edge; the label is kept unchanged where no edge is mapped.
+    collection size and ``s`` the number of mapped edges; where that
+    overflows (a tiny ``c_es``, or constants near the float limit), by the
+    same rule times ``c_es``, ``c_ei s > c_es (s - top) + c_er (m - s)``,
+    with each constant divided by ``max(c_er, c_ei)`` so no term overflows.
+    Ties drop the edge; the label is kept unchanged where no edge is mapped.
     """
     if not isinstance(model.edge_subst, LabelDelta):
         raise ValueError("labeled edge update needs a label-delta edge cost")
     if sets.labels is None:
         raise ValueError("labeled edge update needs labelled edges on the median and every member")
-    m = len(collection)
-    ces = model.edge_subst.cost
-    cer, cei = model.c_er, model.c_ei
+    m, ces, cer, cei = len(collection), model.edge_subst.cost, model.c_er, model.c_ei
     mapped = sets.edges == 1
     top_label, top = _majority(mapped, sets.labels)
     s = mapped.sum(axis=0)
     if ces > 0:
         # the diagonal and the unmapped pairs have s = top = 0 and are never kept
-        adjacency = (top > m * cer / ces + s * (1.0 - (cer + cei) / ces)).astype(np.int8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            threshold = m * cer / ces + s * (1.0 - (cer + cei) / ces)
+        big = max(cer, cei)  # positive, as c_es <= c_er + c_ei
+        scaled = cei / big * s > ces / big * (s - top) + cer / big * (m - s)
+        adjacency = np.where(np.isfinite(threshold), top > threshold, scaled).astype(np.int8)
     else:
         # free substitution: same drop/keep rule as unattributed edges
         adjacency = update_edges_unlabeled(median, sets, collection, model)

@@ -4,12 +4,14 @@
 stacks of maps are scored in :func:`costs.forward_cost`'s own arithmetic, so
 under every model the lexicographically smallest of the maps that cost
 least wins.
-Every other method runs one pipeline per pair of graphs:
+Every other method runs one pipeline per pair of graphs, and every method
+checks a pair as its step 1 does:
 
-1. check that removing one graph and inserting the other whole has a
-   finite cost, and build the quadratic form of the edit cost over the
-   substitution block of a map (:class:`_QapForm`) once; its edge terms are
-   built only if IPFP runs;
+1. check the model against both graphs, that removing one graph and
+   inserting the other whole has a finite cost, and that every vertex
+   substitution cost is finite, by building the quadratic form of the edit
+   cost over the substitution block of a map (:class:`_QapForm`) once; its
+   edge terms are built only if IPFP runs;
 2. take the bipartite start, one linear assignment over vertices enriched
    with their incident edges (:func:`ged_bipartite`);
 3. for ``mbipartite`` and ``mipfp``, add ``multistart_count`` seeded random
@@ -131,15 +133,14 @@ def ged_exact(model: CostModel, g: AttributedGraph, g2: AttributedGraph) -> GedR
     ``_EXACT_STACK`` maps by :func:`costs._stack_costs`, which prices each
     map exactly as :func:`costs.forward_cost` does. So under every model
     the result is the least ``(forward_cost, forward map)`` pair: among
-    cost ties the lexicographically smallest forward map wins.
+    cost ties the lexicographically smallest forward map wins. The pair is
+    checked as every method checks it, by building its :class:`_QapForm`.
     """
     if max(g.order, g2.order) > _EXACT_ORDER_CAP:
         raise SolverError(
             f"orders ({g.order}, {g2.order}) exceed the exact enumeration cap {_EXACT_ORDER_CAP}"
         )
-    _whole_edit_cost(model, g, g2)
-    # names a vertex pair whose squared distance overflows, which the stacks below only sum to inf
-    _vertex_subst_matrix(model, g.vertex_attrs, g2.vertex_attrs)
+    _QapForm(model, g, g2)  # the pair check of every method; the form itself is not used
     n, n2 = g.order, g2.order
     best: tuple[float, tuple[int, ...]] = (np.inf, ())
     for k in range(min(n, n2) + 1):
@@ -157,23 +158,6 @@ def ged_exact(model: CostModel, g: AttributedGraph, g2: AttributedGraph) -> GedR
     # the removal of every vertex, among the first maps scored, has a finite cost, so best holds a map
     f = np.asarray(best[1], dtype=np.int64)
     return GedResult(transformation_from_forward(f, n, n2), best[0], True)
-
-
-def _whole_edit_cost(model: CostModel, g: AttributedGraph, g2: AttributedGraph) -> float:
-    """Cost of removing ``g`` and inserting ``g2`` whole, once the model is checked against both.
-
-    Under label costs no map costs more, so a finite total keeps every cost
-    a solver forms finite; a total that overflows is rejected by name.
-    """
-    check_model_compatible(model, g, g2)
-    n, n2, e, e2 = g.order, g2.order, g.n_edges, g2.n_edges
-    total = n * model.c_vr + n2 * model.c_vi + e * model.c_er + e2 * model.c_ei
-    if not math.isfinite(total):
-        raise SolverError(
-            f"{n}*c_vr + {n2}*c_vi + {e}*c_er + {e2}*c_ei overflows with c_vr={model.c_vr!r}, "
-            f"c_vi={model.c_vi!r}, c_er={model.c_er!r}, c_ei={model.c_ei!r}"
-        )
-    return total
 
 
 def _edge_labels(g: AttributedGraph) -> set[int]:
@@ -241,11 +225,18 @@ class _QapForm:
     """
 
     def __init__(self, model: CostModel, g: AttributedGraph, g2: AttributedGraph):
-        self.model = model
-        self.g = g
-        self.g2 = g2
-        self.n, self.n2 = g.order, g2.order
-        self.c0 = _whole_edit_cost(model, g, g2)
+        check_model_compatible(model, g, g2)
+        self.model, self.g, self.g2 = model, g, g2
+        self.n, self.n2 = n, n2 = g.order, g2.order
+        e, e2 = g.n_edges, g2.n_edges
+        # removing g and inserting g2 whole: under label costs no map costs more, so every solver cost is finite
+        self.c0 = n * model.c_vr + n2 * model.c_vi + e * model.c_er + e2 * model.c_ei
+        if not math.isfinite(self.c0):
+            raise SolverError(
+                f"{n}*c_vr + {n2}*c_vi + {e}*c_er + {e2}*c_ei overflows with c_vr={model.c_vr!r}, "
+                f"c_vi={model.c_vi!r}, c_er={model.c_er!r}, c_ei={model.c_ei!r}"
+            )
+        # names a vertex pair whose squared distance overflows, which ged_exact's stacks only sum to inf
         self.subst = _vertex_subst_matrix(model, g.vertex_attrs, g2.vertex_attrs)
         self.linear = self.subst - model.c_vr - model.c_vi
         # rows[forward] is the partial permutation matrix of a map

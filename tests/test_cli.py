@@ -308,6 +308,19 @@ def test_config_file_precedence(dataset, tmp_path, capsys):
     assert config["ged"]["multistart"] == 9
 
 
+def test_cost_spec_skips_an_empty_item(dataset, capsys):
+    assert main(["median", "--dataset", dataset, "--dump-config", "--cost", "c_vs=2,,c_vr=4"]) == 0
+    cost = json.loads(capsys.readouterr().out)["cost"]
+    assert cost == {**DEFAULT_CONFIG["cost"], "c_vs": 2.0, "c_vr": 4.0}
+
+
+def test_config_file_sets_node_attrs_to_a_list_of_names(dataset, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": {"node_attrs": ["x", "y"]}}))
+    assert main(["median", "--dataset", dataset, "--dump-config", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["data"]["node_attrs"] == ["x", "y"]
+
+
 def test_config_file_errors(dataset, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
@@ -339,6 +352,8 @@ def test_gxl_input_for_ged(tmp_path, capsys):
         ("ged", "cost", "c_vr", "x"),
         ("ged", "ged", "multistart", 2.7),
         ("ged", "run", "max_iters", 1.9),
+        ("median", "data", "node_attrs", "x"),
+        ("median", "data", "node_attrs", ["x", 1]),
     ],
 )
 def test_config_value_of_wrong_type(command, section, key, value, graph_files, dataset, tmp_path, capsys):

@@ -195,10 +195,13 @@ def test_graphs_equal(pair):
     assert graphs_equal(g, same)  # ids do not matter
     other = build_graph(4, [1, 2, 2, 3], [(1, 2, 2), (0, 3, 3), (1, 3, 2), (2, 3, 3)])
     assert not graphs_equal(g, other)
+    relabelled = build_graph(4, [1, 2, 2, 4], [(1, 2, 1), (0, 3, 3), (1, 3, 2), (2, 3, 3)])
+    assert not graphs_equal(g, relabelled)
     gv = build_graph(2, [[1.0, 0.0], [0.0, 1.0]], [(0, 1)])
     gv2 = build_graph(2, [[1.0, 1e-12], [0.0, 1.0]], [(0, 1)])
     assert not graphs_equal(gv, gv2)
     assert graphs_equal(gv, gv2, vec_tol=1e-9)
+    assert not graphs_equal(gv, build_graph(2, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [(0, 1)]), vec_tol=1.0)
 
 
 def test_graphs_equal_ignores_offedge_attrs():

@@ -40,6 +40,7 @@ NODES = b"".join(b'<node id="%s"><attr name="l"><int>1</int></attr></node>' % v 
             "edge attributes must be an n x n matrix",
         ),
         (lambda: build_graph(2, [1, 2], [(0, 1, 1, 1)]), GraphError, "edges must be (i, j) or (i, j, label) tuples"),
+        (lambda: build_graph(2, [1.5, 2.0]), GraphError, "vertex labels must be integers"),
         (
             lambda: CostModel(3.0, 3.0, 3.0, 3.0, ZeroCost(), ZeroCost()),
             CostModelError,
@@ -70,6 +71,7 @@ NODES = b"".join(b'<node id="%s"><attr name="l"><int>1</int></attr></node>' % v 
         "3d-attributes",
         "edge-attributes-shape",
         "4-tuple-edge",
+        "float-vertex-labels",
         "zero-cost-vertex-substitution",
         "gxl-attr-without-value",
         "gxl-float-label-on-a-later-edge",

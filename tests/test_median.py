@@ -4,6 +4,7 @@ import copy
 import pickle
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -595,3 +596,67 @@ def test_compute_median_of_an_empty_vector_graph_of_another_width():
     assert result.sod == 9.0
     assert result.median.order == 0
     assert result.converged
+
+
+def test_vector_mean_of_finite_vectors_is_finite():
+    # the members' sum of 2e308 used to overflow, and the median failed as a non-finite vector
+    with pytest.warns(RuntimeWarning):
+        model = make_cost_model("vector", "none")
+    g = build_graph(2, [[1e308, 0.0], [1e308, 1.0]], [(0, 1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = compute_median(model, [g, g], DescentConfig(ged_phase1=EXACT, ged_phase2=EXACT))
+    assert result.sod == 0.0 and result.converged
+    assert graphs_equal(result.median, g)
+
+
+def test_vector_mean_rescales_only_the_coordinates_that_overflow():
+    coords = [[1e308, 0.1], [1.7e308, 0.2], [1.7e308, 0.4]]
+    members = [build_graph(1, [c]) for c in coords]
+    median = build_graph(1, [[0.0, 0.0]])
+    sets = collect_substitution_sets(MedianState(median, [identity_transformation(1)] * 3, 0.0, 0), members)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        phi = update_vertex_vectors(median, sets, members)
+    assert _identical(phi[0, 1], np.mean([0.1, 0.2, 0.4]))
+    assert phi[0, 0] == pytest.approx(1e308 / 3 + 2 * (1.7e308 / 3), rel=1e-15)
+
+
+def _one_pair_sets(m, s, top):
+    """Sets of ``m`` members, ``s`` with an edge mapped onto median pair (0, 1): ``top`` labelled 1, the
+    others each with a label of its own, so that 1 is the majority label, of count ``top``."""
+    median = build_graph(2, [1, 1], [(0, 1, 1)])
+    members = [build_graph(2, [1, 1], [(0, 1, 1 if p < top else p + 2)] if p < s else [], edge_labels=True)
+               for p in range(m)]
+    state = MedianState(median, [identity_transformation(2)] * m, 0.0, 0)
+    return median, members, collect_substitution_sets(state, members)
+
+
+@pytest.mark.parametrize(
+    "costs",
+    [{"c_es": 1e-320}, {"c_es": 5e-324, "c_er": 0.1, "c_ei": 0.2}, {"c_es": 1e308, "c_er": 1e308, "c_ei": 1e308}],
+    ids=["tiny-c_es", "least-c_es", "near-float-limit"],
+)
+def test_labeled_edge_update_decides_an_overflowing_threshold_exactly(costs):
+    # the threshold used to overflow to NaN or -inf: every edge was dropped, or every mapped one kept
+    model = make_cost_model(**costs)
+    ces, cer, cei = Fraction(model.edge_subst.cost), Fraction(model.c_er), Fraction(model.c_ei)
+    for m in range(1, 7):
+        for s in range(m + 1):
+            for top in range(min(s, 1), s + 1):
+                median, members, sets = _one_pair_sets(m, s, top)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    adjacency, _ = update_edges_labeled(median, sets, members, model)
+                keep = ces * top + (cer + cei - ces) * s > m * cer
+                assert adjacency[0, 1] == keep, (m, s, top)
+
+
+def test_identical_members_fix_immediately_under_a_tiny_edge_substitution_cost():
+    model = make_cost_model(c_es=1e-320)
+    g = build_graph(3, [1, 2, 2], [(0, 1, 1), (1, 2, 2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = compute_median(model, [g, g, g], DESCENT)
+    assert result.sod == 0.0 and result.converged and result.iterations == 1
+    assert graphs_equal(result.median, g)
