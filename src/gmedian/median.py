@@ -3,7 +3,7 @@
 The median search alternates two blocks until a fixed point: with the
 per-graph transformations held fixed, every attribute and adjacency
 coordinate of the candidate median has a closed-form optimum (majority
-label, attribute mean, or an edge-count threshold); with the median held
+label, attribute mean, or an exact edge rule); with the median held
 fixed, each transformation is re-optimized by a configured solver and the
 new map is adopted only when it strictly improves on the previous one
 re-evaluated against the updated median. The sum of the transformation
@@ -273,6 +273,19 @@ def update_vertex_vectors(
     return np.where(sub.any(axis=0), mean, median.vertex_attrs)
 
 
+def _kept(model: CostModel, ces: float, m: int, s: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Adjacency by ``c_es (s - top) + c_er (m - s) < c_ei s``, decided exactly.
+
+    The three constants are written as integers over one power of two and the
+    rule is compared in Python integers, so no term rounds or overflows.
+    """
+    ratios = [float(c).as_integer_ratio() for c in (ces, model.c_er, model.c_ei)]
+    den = max(d for _, d in ratios)
+    es, er, ei = (num * (den // d) for num, d in ratios)
+    s = s.astype(object)
+    return (es * (s - top) + er * (m - s) < ei * s).astype(np.int8)
+
+
 def update_edges_labeled(
     median: AttributedGraph,
     sets: SubstitutionSets,
@@ -282,33 +295,19 @@ def update_edges_labeled(
     """Optimal adjacency and edge labels for fixed transformations.
 
     Per vertex pair the best label is the majority label over the mapped
-    edges; the edge exists iff keeping it beats dropping it, i.e. the
-    majority count ``top`` strictly exceeds
-    ``m * c_er / c_es + s * (1 - (c_er + c_ei) / c_es)`` where ``m`` is the
-    collection size and ``s`` the number of mapped edges; where that
-    overflows (a tiny ``c_es``, or constants near the float limit), by the
-    same rule times ``c_es``, ``c_ei s > c_es (s - top) + c_er (m - s)``,
-    with each constant divided by ``max(c_er, c_ei)`` so no term overflows.
-    Ties drop the edge; the label is kept unchanged where no edge is mapped.
+    edges, of count ``top``. Of the ``m`` members, ``s`` map an edge onto
+    the pair; the edge exists iff keeping it costs less than dropping it,
+    ``c_es (s - top) + c_er (m - s) < c_ei s``, decided exactly. Ties drop
+    the edge; the label is kept unchanged where no edge is mapped.
     """
     if not isinstance(model.edge_subst, LabelDelta):
         raise ValueError("labeled edge update needs a label-delta edge cost")
     if sets.labels is None:
         raise ValueError("labeled edge update needs labelled edges on the median and every member")
-    m, ces, cer, cei = len(collection), model.edge_subst.cost, model.c_er, model.c_ei
     mapped = sets.edges == 1
     top_label, top = _majority(mapped, sets.labels)
     s = mapped.sum(axis=0)
-    if ces > 0:
-        # the diagonal and the unmapped pairs have s = top = 0 and are never kept
-        with np.errstate(over="ignore", invalid="ignore"):
-            threshold = m * cer / ces + s * (1.0 - (cer + cei) / ces)
-        big = max(cer, cei)  # positive, as c_es <= c_er + c_ei
-        scaled = cei / big * s > ces / big * (s - top) + cer / big * (m - s)
-        adjacency = np.where(np.isfinite(threshold), top > threshold, scaled).astype(np.int8)
-    else:
-        # free substitution: same drop/keep rule as unattributed edges
-        adjacency = update_edges_unlabeled(median, sets, collection, model)
+    adjacency = _kept(model, model.edge_subst.cost, len(collection), s, top)
     return adjacency, np.where(s > 0, top_label, median.edge_attrs)
 
 
@@ -320,15 +319,11 @@ def update_edges_unlabeled(
 ) -> np.ndarray:
     """Optimal adjacency for fixed transformations, attribute-free edges.
 
-    The edge exists iff the mapped-edge count strictly exceeds
-    ``m * c_er / (c_er + c_ei)``; ties drop the edge.
+    The labelled rule with ``c_es = 0`` and ``top = s``: the edge exists iff
+    ``c_er (m - s) < c_ei s``, decided exactly; ties drop the edge.
     """
-    m = len(collection)
-    total = model.c_er + model.c_ei
-    if total == 0:
-        # keeping and dropping tie everywhere; ties drop the edge
-        return np.zeros(sets.edges.shape[1:], dtype=np.int8)
-    return (sets.edges.sum(axis=0) > m * model.c_er / total).astype(np.int8)
+    s = sets.edges.sum(axis=0)
+    return _kept(model, 0.0, len(collection), s, s)
 
 
 def _updated_median(

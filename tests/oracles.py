@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from gmedian.graphs import (
     build_graph,
     transformation_from_forward,
 )
+from gmedian.solvers import ged_exact
 
 
 def subst_cost(model: CostModel, kind: str, a, b) -> float:
@@ -314,12 +316,16 @@ def loop_vertex_vectors(median: AttributedGraph, vertex_sets, collection) -> np.
     return phi
 
 
+def _loop_keeps(model: CostModel, ces, m: int, s: int, top: int) -> bool:
+    """Keeping the edge costs less than dropping it, in rationals: ``c_es (s - top) + c_er (m - s) < c_ei s``."""
+    ces, cer, cei = Fraction(ces), Fraction(model.c_er), Fraction(model.c_ei)
+    return ces * (s - top) + cer * (m - s) < cei * s
+
+
 def loop_edges_labeled(median: AttributedGraph, edge_sets, collection, model: CostModel):
-    """Majority edge label and keep-or-drop threshold, vertex pair by vertex pair."""
+    """Majority edge label and the keep-or-drop rule, vertex pair by vertex pair."""
     n = median.order
     m = len(collection)
-    ces = model.edge_subst.cost
-    cer, cei = model.c_er, model.c_ei
     adjacency = np.zeros((n, n), dtype=np.int8)
     attrs = median.edge_attrs.copy()
     for i in range(n):
@@ -332,25 +338,46 @@ def loop_edges_labeled(median: AttributedGraph, edge_sets, collection, model: Co
                 attrs[i, j] = attrs[j, i] = label
             else:
                 top = 0
-            if ces > 0:
-                keep = top > m * cer / ces + s * (1.0 - (cer + cei) / ces)
-            else:
-                keep = (cer + cei) > 0 and s > m * cer / (cer + cei)
-            if keep:
+            if _loop_keeps(model, model.edge_subst.cost, m, s, top):
                 adjacency[i, j] = adjacency[j, i] = 1
     return adjacency, attrs
 
 
 def loop_edges_unlabeled(median: AttributedGraph, edge_sets, collection, model: CostModel) -> np.ndarray:
-    """Keep an edge iff its mapped-edge count strictly exceeds ``m * c_er / (c_er + c_ei)``."""
+    """The keep-or-drop rule with ``c_es = 0`` and ``top = s``, vertex pair by vertex pair."""
     n = median.order
     m = len(collection)
-    total = model.c_er + model.c_ei
     adjacency = np.zeros((n, n), dtype=np.int8)
-    if total == 0:
-        return adjacency
-    threshold = m * model.c_er / total
-    for (i, j), entries in edge_sets.items():
-        if len(entries) > threshold:
-            adjacency[i, j] = adjacency[j, i] = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = len(edge_sets.get((i, j), []))
+            if _loop_keeps(model, 0, m, s, s):
+                adjacency[i, j] = adjacency[j, i] = 1
     return adjacency
+
+
+def oracle_median(model: CostModel, collection: list[AttributedGraph]) -> tuple[float, AttributedGraph]:
+    """Least sum of exact distances to the members over every labelled graph up to their largest order.
+
+    The candidates carry the members' vertex labels in sorted order, which is complete up to
+    isomorphism, and each vertex pair is either empty or carries one of the members' edge labels.
+    Each candidate is priced by ``ged_exact``, which criterion 1 checks against :func:`oracle_ged`,
+    and its sum stops once it reaches the best. Ties go to the first candidate, by order.
+    """
+    vertex_labels = sorted({int(x) for g in collection for x in g.vertex_attrs})
+    edge_labels = sorted({int(x) for g in collection for x in g.edge_attrs[np.triu(g.adjacency, 1) == 1]})
+    best, best_graph = np.inf, None
+    for n in range(max(g.order for g in collection) + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for labels in itertools.combinations_with_replacement(vertex_labels, n):
+            for states in itertools.product([None, *edge_labels], repeat=len(pairs)):
+                edges = [(i, j, e) for (i, j), e in zip(pairs, states) if e is not None]
+                candidate = build_graph(n, list(labels), edges, edge_labels=True)
+                sod = 0.0
+                for gp in collection:
+                    sod += ged_exact(model, candidate, gp).cost
+                    if sod >= best:
+                        break
+                if sod < best:
+                    best, best_graph = sod, candidate
+    return best, best_graph

@@ -634,8 +634,14 @@ def _one_pair_sets(m, s, top):
 
 @pytest.mark.parametrize(
     "costs",
-    [{"c_es": 1e-320}, {"c_es": 5e-324, "c_er": 0.1, "c_ei": 0.2}, {"c_es": 1e308, "c_er": 1e308, "c_ei": 1e308}],
-    ids=["tiny-c_es", "least-c_es", "near-float-limit"],
+    [
+        {"c_es": 1e-320},
+        {"c_es": 5e-324, "c_er": 0.1, "c_ei": 0.2},
+        {"c_es": 1e308, "c_er": 1e308, "c_ei": 1e308},
+        {"c_es": 1e-320, "c_er": 1e300, "c_ei": 1e-30},
+        {"c_es": 1e-320, "c_er": 1e-300, "c_ei": 1e-300},
+    ],
+    ids=["tiny-c_es", "least-c_es", "near-float-limit", "underflowing-ratio", "all-tiny"],
 )
 def test_labeled_edge_update_decides_an_overflowing_threshold_exactly(costs):
     # the threshold used to overflow to NaN or -inf: every edge was dropped, or every mapped one kept
@@ -660,3 +666,55 @@ def test_identical_members_fix_immediately_under_a_tiny_edge_substitution_cost()
         result = compute_median(model, [g, g, g], DESCENT)
     assert result.sod == 0.0 and result.converged and result.iterations == 1
     assert graphs_equal(result.median, g)
+    # an inf threshold, a ratio that underflows to 0 and a threshold that rounds to m each kept no edge;
+    # one bond, as a second c_er = 1e308 would overflow the cost of removing the graph whole
+    bonded = build_graph(2, [1, 2], [(0, 1)])
+    for costs, member in (
+        ({"edge_mode": "none", "c_er": 1e308, "c_ei": 1.0}, bonded),
+        ({"c_es": 1e-320, "c_er": 1e300, "c_ei": 1e-30}, g),
+        ({"edge_mode": "none", "c_er": 1.0, "c_ei": 1e-30}, bonded),
+    ):
+        model = make_cost_model(**costs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = compute_median(model, [member] * 3, DESCENT)
+        assert result.sod == 0.0 and result.converged and result.iterations == 1, costs
+        assert graphs_equal(result.median, member), costs
+
+
+def _one_unlabelled_pair_sets(m, s):
+    """Sets of ``m`` unlabelled members, ``s`` of them with an edge mapped onto median pair (0, 1)."""
+    median = build_graph(2, [1, 1], [(0, 1)])
+    members = [build_graph(2, [1, 1], [(0, 1)] if p < s else []) for p in range(m)]
+    state = MedianState(median, [identity_transformation(2)] * m, 0.0, 0)
+    return median, members, collect_substitution_sets(state, members)
+
+
+@pytest.mark.parametrize(
+    "costs",
+    [{"c_er": 1e308, "c_ei": 1.0}, {"c_er": 1.0, "c_ei": 1e-30}, {"c_er": 0.0, "c_ei": 0.0}],
+    ids=["overflowing-threshold", "rounding-threshold", "free"],
+)
+def test_unlabeled_edge_update_decides_every_cell_exactly(costs):
+    # m * c_er overflowed to inf, or m * c_er / (c_er + c_ei) rounded to m: an edge every member maps was dropped
+    model = make_cost_model(edge_mode="none", **costs)
+    cer, cei = Fraction(model.c_er), Fraction(model.c_ei)
+    for m in range(1, 7):
+        for s in range(m + 1):
+            median, members, sets = _one_unlabelled_pair_sets(m, s)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                adjacency = update_edges_unlabeled(median, sets, members, model)
+            assert adjacency[0, 1] == (cer * (m - s) < cei * s), (m, s)
+
+
+@pytest.mark.parametrize("m", [9, 15, 30, 60])
+def test_edge_updates_drop_a_tie_under_tenth_valued_costs(m):
+    # with s = top = m / 3, keeping costs 0.1 * 2m/3 and dropping 0.2 * m/3, equal in binary too; the float
+    # thresholds (2.9999999999999996 at m = 9) kept the edge
+    median, members, sets = _one_pair_sets(m, m // 3, m // 3)
+    adjacency, _ = update_edges_labeled(median, sets, members, make_cost_model(c_es=0.3, c_er=0.1, c_ei=0.2))
+    assert adjacency[0, 1] == 0
+    median, members, sets = _one_unlabelled_pair_sets(m, m // 3)
+    adjacency = update_edges_unlabeled(median, sets, members, make_cost_model(edge_mode="none", c_er=0.1, c_ei=0.2))
+    assert adjacency[0, 1] == 0

@@ -5,6 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import gmedian
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the public names and the modules that define them, as the package exported them when it imported eagerly
@@ -101,3 +105,10 @@ assert not sys.platform.startswith("linux") or "scipy" not in sys.modules
 
 def test_a_solve_loads_only_the_layers_it_uses():
     _run_python(SOLVE_LOADS)
+
+
+def test_an_unknown_name_raises_and_dir_lists_every_export():
+    # the same checks in this process: a line trace does not follow the subprocesses above
+    with pytest.raises(AttributeError, match="'gmedian' has no attribute 'no_such_name'"):
+        gmedian.no_such_name
+    assert set(gmedian.__all__) <= set(dir(gmedian))
