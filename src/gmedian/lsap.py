@@ -118,20 +118,26 @@ def solve_lsap(problem: np.ndarray) -> tuple[np.ndarray, float]:
     cost = np.asarray(problem, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise LsapError("cost matrix must be square")
+    assignment = _assignment(cost)
+    with np.errstate(over="ignore"):
+        objective = float(cost[np.arange(len(assignment)), assignment].sum())
+    if not math.isfinite(objective):  # no +inf cell is selected, so the sum overflowed
+        raise LsapError("the optimal objective overflows float64")
+    return assignment, objective
+
+
+def _assignment(cost: np.ndarray) -> np.ndarray:
+    """The assignment of :func:`solve_lsap` for a square float64 ``cost``, without its objective."""
     if not (cost > -np.inf).all():  # false for NaN and -inf
         raise LsapError("cost matrix contains NaN or -inf entries")
     if cost.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64), 0.0
+        return np.zeros(0, dtype=np.int64)
     try:
         # for square input the rows come back as arange(n), so cols is the assignment
-        rows, cols = linear_sum_assignment(cost)
+        _, cols = linear_sum_assignment(cost)
     except ValueError:  # scipy's "cost matrix is infeasible"
         raise LsapError("no feasible assignment avoids the +inf cells") from None
-    with np.errstate(over="ignore"):
-        objective = float(cost[rows, cols].sum())
-    if not math.isfinite(objective):  # no +inf cell is selected, so the sum overflowed
-        raise LsapError("the optimal objective overflows float64")
-    return cols, objective
+    return cols
 
 
 def solve_partial(cost: np.ndarray) -> np.ndarray:

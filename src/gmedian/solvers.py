@@ -24,19 +24,30 @@ checks a pair as its step 1 does:
    only where that lowers the objective (:func:`lsap.solve_partial`). Each
    step takes one Hessian product, on that step's map b: ``hb = H b`` is a
    row gather and one GEMM, O(B n^2 n2) for the B = 1 + L edge terms.
-   ``H x`` is carried by linearity, ``H x' = H x + alpha (hb - H x)``, and
-   reset to ``hb`` on a full step (alpha = 1), which lands exactly on b, so
-   rounding does not accumulate across full steps. A start stops once the
-   linear gap or one step's decrease of the relaxed objective is at most
-   ``_IPFP_TOL`` times its value (Bougleux et al. 2017), or at
-   ``_IPFP_MAX_ITERS`` steps. A start that ends off a map is projected back
-   to one by one more partial matching. Every map visited is yielded, with
-   its relaxed value where a product gives it; a gap stop on the map the
-   iterate already sits on does not yield that map again;
+   ``H x`` is carried by linearity, ``H x' = H x + alpha (hb - H x)``. A
+   full step (alpha = 1) lands exactly on b and resets the whole state to
+   b's own, as a start from b holds it: ``x = b``, ``H x = hb`` and the
+   relaxed value of b, so rounding does not accumulate across full steps.
+   A start stops once the linear gap or one step's decrease of the relaxed
+   objective is at most ``_IPFP_TOL`` times its value (Bougleux et al.
+   2017), or at ``_IPFP_MAX_ITERS`` steps. A start that ends off a map is
+   projected back to one by one more partial matching. Every map visited is
+   yielded, with its relaxed value where a product gives it; a gap stop on
+   the map the iterate already sits on does not yield that map again.
+   As the rest of a start depends on its current map alone, the starts of
+   a solve share up to ``_EXPLORED_MAPS`` explored maps: the maps they
+   began at or landed on by a full step and walked on from. A start that
+   begins at or lands on one stops there, because an earlier start has
+   yielded the rest of its walk. A landing where the drop stop ends its
+   start is not explored, nor is any map of a start that the step cap cuts
+   (the cap counts from each start; no start of the tests or benchmarks
+   reaches it);
 5. keep the cheapest map, ties to the lexicographically smaller one, and
    build its :class:`Transformation`. A relaxed value is its map's cost up
-   to rounding, so :func:`costs.forward_cost`'s rule prices only maps whose
-   value is within ``_SCREEN_MARGIN`` of the best so far: no other can win.
+   to rounding, so :func:`costs.forward_cost`'s rule prices a map without a
+   finite one at once, keeps the others only while their value is within
+   ``_SCREEN_MARGIN`` of the lowest so far, and prices those in ascending
+   value until one is beyond the margin of the best cost: no other can win.
 
 Every result carries a concrete transformation whose true cost is the
 reported value, so heuristic outputs are always valid upper bounds. A pair
@@ -121,6 +132,12 @@ _EXACT_STACK = 4096  # maps scored per array pass; bounds memory whatever the or
 _IPFP_TOL = 1e-4  # relative stop of an IPFP start, see the module docstring
 _IPFP_MAX_ITERS = 50  # steps per IPFP start
 _SCREEN_MARGIN = 1e-9  # relative; a relaxed value this far above the best cost is no rounding error
+_EXPLORED_MAPS = 256  # maps per solve whose IPFP walk later starts skip, see _ipfp_refine
+
+
+def _within_margin(value: float, bound: float) -> bool:
+    """Whether ``value`` is at most ``bound`` up to the rounding that ``_SCREEN_MARGIN`` allows."""
+    return value <= bound + _SCREEN_MARGIN * max(1.0, abs(bound))
 
 
 def ged_exact(model: CostModel, g: AttributedGraph, g2: AttributedGraph) -> GedResult:
@@ -220,8 +237,8 @@ class _QapForm:
     zero on maps; it stays so that fractional points follow the augmented
     relaxation. On a map ``S @ M = M[forward]`` for M padded with
     a zero row n2 (the image of a removed vertex), so :meth:`product` is a
-    row gather of the (B, n2 + 1, n2) stack of right factors and one
-    (n, B*n) x (B*n, n2) GEMM, B = 1 + L.
+    row gather of the (B, n2 + 1, n2) stack of right factors and of
+    ``c_ei A2``, and one (n, B*n) x (B*n, n2) GEMM, B = 1 + L.
     """
 
     def __init__(self, model: CostModel, g: AttributedGraph, g2: AttributedGraph):
@@ -243,8 +260,9 @@ class _QapForm:
         self.rows = np.eye(self.n2 + 1)[:, : self.n2]
 
     @cached_property
-    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(lcat, right)`` with ``H S = lcat @ vstack_b(S right_b) - c_ei S right_0``; built on first use."""
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(lcat, right, inserted)`` with ``H S = lcat @ vstack_b(S right_b) - S inserted`` and
+        ``inserted = c_ei right_0``; built on first use."""
         g, g2, n, n2 = self.g, self.g2, self.n, self.n2
         cer, cei = self.model.c_er, self.model.c_ei
         ces = self.model.edge_subst.cost if isinstance(self.model.edge_subst, LabelDelta) else 0.0
@@ -263,32 +281,69 @@ class _QapForm:
         for b, label in enumerate(labels, 1):
             lcat[:, b] = -ces * g.adjacency * (g.edge_attrs == label)
             right[b, :n2] = g2.adjacency * (g2.edge_attrs == label)
-        return lcat.reshape(n, B * n), right
+        return lcat.reshape(n, B * n), right, cei * right[0]
 
     def product(self, forward: np.ndarray) -> np.ndarray:
         """``H S`` for the partial permutation matrix S of ``forward``."""
-        lcat, right = self._factors
-        gathered = right.take(forward, axis=1)
-        return lcat @ gathered.reshape(lcat.shape[1], self.n2) - self.model.c_ei * gathered[0]
+        lcat, right, inserted = self._factors
+        gathered = right.take(forward, axis=1).reshape(lcat.shape[1], self.n2)
+        return lcat @ gathered - inserted.take(forward, axis=0)
 
     def cheapest(self, visited: Iterable[tuple[np.ndarray, float | None]]) -> tuple[float, tuple[int, ...]]:
-        """(true cost, forward tuple) of the cheapest of (forward, relaxed value or None), ties to the smaller map."""
+        """(true cost, forward tuple) of the cheapest of (forward, relaxed value or None), ties to the smaller map.
+
+        A map without a finite relaxed value is priced at once. A valued map is kept, once, while its
+        value is within ``_SCREEN_MARGIN`` of the lowest value so far; at the end the kept maps are
+        priced in ascending value until one is beyond the margin of the best cost: no later one can win.
+        """
         best: tuple[float, tuple[int, ...] | None] = (np.inf, None)
+        low, kept = np.inf, {}  # the lowest relaxed value; key -> (value, forward) of the maps near it
         for forward, value in visited:
             key = tuple(forward.tolist())
-            if key != best[1] and (value is None or value <= best[0] + _SCREEN_MARGIN * max(1.0, abs(best[0]))):
-                # unchecked: a map whose distances overflow only in sum costs inf, as in ged_exact
-                cost = _map_cost(self.model, forward, self.g, self.g2)
-                best = (cost, key) if best[1] is None else min(best, (cost, key))
+            if value is None or not math.isfinite(value):
+                best = self._priced(best, forward, key)
+            elif _within_margin(value, low):
+                if value < low:
+                    low = value
+                    kept = {k: kv for k, kv in kept.items() if _within_margin(kv[0], low)}
+                kept[key] = (value, forward)
+        for key, (value, forward) in sorted(kept.items(), key=lambda item: item[1][0]):
+            if not _within_margin(value, best[0]):
+                break
+            best = self._priced(best, forward, key)
         return best
 
+    def _priced(
+        self, best: tuple[float, tuple[int, ...] | None], forward: np.ndarray, key: tuple[int, ...]
+    ) -> tuple[float, tuple[int, ...]]:
+        """``best`` or (cost, key) of ``forward``, whichever is smaller; the best map is not priced again."""
+        if key == best[1]:
+            return best
+        # unchecked: a map whose distances overflow only in sum costs inf, as in ged_exact
+        cost = _map_cost(self.model, forward, self.g, self.g2)
+        return (cost, key) if best[1] is None else min(best, (cost, key))
 
-def _ipfp_refine(form: _QapForm, init_forward: np.ndarray) -> Iterator[tuple[np.ndarray, float | None]]:
+
+def _ipfp_refine(
+    form: _QapForm, init_forward: np.ndarray, explored: set[tuple[int, ...]] | None = None
+) -> Iterator[tuple[np.ndarray, float | None]]:
     """Run the refinement from one initial map; yields every map it visits with its relaxed value,
-    but not again the map the iterate sits on when the gap stop finds it."""
+    but not again the map the iterate sits on when the gap stop finds it.
+
+    A full step resets the state to its map's own, as a start from that map would hold it, so the
+    rest of the walk depends on that map alone. ``explored`` holds the maps that earlier starts of
+    the solve began at or landed on by a full step and walked on from: this start stops, yielding
+    nothing more, once it begins at or lands on one of them. Its own such maps join the set when it
+    ends, unless the step cap cut it short, up to ``_EXPLORED_MAPS`` in all.
+    """
+    explored = set() if explored is None else explored
+    key = tuple(init_forward.tolist())
+    if key in explored:
+        return
+    walked = [key]
     x = form.rows[init_forward]
     hx = form.product(init_forward)
-    # the relaxed objective at x, lowered by each step's exact decrease
+    # the relaxed objective at x, lowered by each partial step's exact decrease
     f = form.c0 + float(np.vdot(form.linear, x) + 0.5 * np.vdot(x, hx))
     yield init_forward, f
     alpha = 1.0
@@ -303,17 +358,28 @@ def _ipfp_refine(form: _QapForm, init_forward: np.ndarray) -> Iterator[tuple[np.
                 yield forward, None
             break
         hb = form.product(forward)
-        yield forward, form.c0 + float(np.vdot(form.linear, b) + 0.5 * np.vdot(b, hb))
+        value = form.c0 + float(np.vdot(form.linear, b) + 0.5 * np.vdot(b, hb))
+        yield forward, value
         hd = hb - hx
         curvature = float(np.vdot(d, hd))
         alpha = 1.0 if curvature <= 0 else min(1.0, -gap / curvature)
-        x = x + alpha * d
-        # a full step lands exactly on the map, so its product resets any drift
-        hx = hb if alpha == 1.0 else hx + alpha * hd
         drop = -(alpha * gap + 0.5 * alpha**2 * curvature)
+        if alpha == 1.0:  # the step lands exactly on b
+            x, hx = b, hb
+        else:
+            x, hx = x + alpha * d, hx + alpha * hd
         if drop <= _IPFP_TOL * abs(f):
             break
-        f -= drop
+        if alpha != 1.0:
+            f -= drop
+        elif (key := tuple(forward.tolist())) in explored:  # an earlier start has walked on from b
+            break
+        else:  # the state is b's own, as a start from b holds it, so rounding does not accumulate
+            walked.append(key)
+            f = value
+    else:
+        walked = []  # the cap cut the walk, so a later start reaching these maps walks on
+    explored.update(walked[: _EXPLORED_MAPS - len(explored)])
     if alpha != 1.0:  # else x is the start or the last step's map, already yielded
         # the map sharing most mass with x, removal and insertion cells included
         removed, inserted = 1.0 - x.sum(axis=1), 1.0 - x.sum(axis=0)
@@ -336,8 +402,7 @@ def _bipartite_forward(form: _QapForm) -> np.ndarray:
         model.c_vr + 0.5 * model.c_er * g.degrees,
         model.c_vi + 0.5 * model.c_ei * g2.degrees,
     )
-    assignment, _ = lsap.solve_lsap(cost)
-    return np.minimum(assignment[: form.n], form.n2)
+    return np.minimum(lsap._assignment(cost)[: form.n], form.n2)
 
 
 def _solve(model: CostModel, g: AttributedGraph, g2: AttributedGraph, config: GedSolverConfig) -> GedResult:
@@ -350,8 +415,8 @@ def _solve(model: CostModel, g: AttributedGraph, g2: AttributedGraph, config: Ge
         rng = np.random.default_rng(config.rng_seed)
         randoms = (_random_maximal_forward(rng, n, n2) for _ in range(config.multistart_count))
         starts = itertools.chain(starts, randoms)
-    refine = config.method in ("ipfp", "mipfp")
-    visited = (_ipfp_refine(form, f) if refine else [(f, None)] for f in starts)
+    refine, explored = config.method in ("ipfp", "mipfp"), set()
+    visited = (_ipfp_refine(form, f, explored) if refine else [(f, None)] for f in starts)
     cost, forward = form.cheapest(itertools.chain.from_iterable(visited))
     return GedResult(transformation_from_forward(forward, n, n2), cost, min(n, n2) == 0)
 

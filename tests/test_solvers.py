@@ -279,19 +279,22 @@ def test_ipfp_takes_one_permutation_product_per_step(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(_QapForm, "product", counted("product", _QapForm.product))
-    monkeypatch.setattr(solvers.lsap, "solve_lsap", counted("lsap", solvers.lsap.solve_lsap))
+    monkeypatch.setattr(solvers.lsap, "_assignment", counted("lsap", solvers.lsap._assignment))
     monkeypatch.setattr(solvers.lsap, "solve_partial", counted("partial", solvers.lsap.solve_partial))
     model, pairs = _pinned_pairs("label")
-    # every start of this pair stops on the gap before the iteration cap; 3 of the 7 end off a map
+    # of the 7 starts of this pair, the last begins at a map an earlier start landed on and walked on
+    # from; 3 others land on such a map and stop there; the other 3 stop on the gap before the
+    # iteration cap, 2 of them off a map
     g, g2 = pairs[2]
     r = solve_ged(model, g, g2, GedSolverConfig(method="mipfp", multistart_count=6, rng_seed=5))
     assert (r.cost, tuple(r.transformation.forward.tolist())) == PINNED["label", "mipfp"][2][:2]
-    starts, off_map = 1 + 6, 3
-    # one augmented LSAP for the bipartite start; per start, one partial matching per step and one
-    # finding no descent; a projection only for a start that ends off a map
-    steps = calls["partial"] - starts - off_map
-    assert calls["product"] == starts + steps
-    assert calls == {"product": 25, "lsap": 1, "partial": 28}
+    walked, explored_stops, off_map = 1 + 6 - 1, 3, 2
+    # one augmented LSAP for the bipartite start; per walked start, one product and one partial
+    # matching per step; one more matching finding no descent for a start that stops on the gap,
+    # and a projection only for a start that ends off a map
+    steps = calls["partial"] - (walked - explored_stops) - off_map
+    assert calls["product"] == walked + steps
+    assert calls == {"product": 21, "lsap": 1, "partial": 20}
 
 
 def test_ipfp_stops_before_the_cap(monkeypatch):
@@ -305,7 +308,7 @@ def test_ipfp_stops_before_the_cap(monkeypatch):
     monkeypatch.setattr(_QapForm, "product", counted)
     model, pairs = _pinned_pairs("label")
     config = GedSolverConfig(method="mipfp", multistart_count=6, rng_seed=5)
-    for (g, g2), pinned, expected in zip(pairs, PINNED["label", "mipfp"], (89, 133)):
+    for (g, g2), pinned, expected in zip(pairs, PINNED["label", "mipfp"], (88, 132)):
         counts = []
         for cap in (50, 100_000):
             products[0] = 0
@@ -346,9 +349,10 @@ def test_selection_prices_few_maps(monkeypatch):
     g, g2 = pairs[2]
     r = solve_ged(model, g, g2, GedSolverConfig(method="mipfp", multistart_count=6, rng_seed=5))
     assert (r.cost, tuple(r.transformation.forward.tolist())) == PINNED["label", "mipfp"][2][:2]
-    # maps whose relaxed value is above the best cost so far, and the best map again, are not priced;
-    # pricing every distinct visited map once would take 13 calls
-    assert calls[0] == 8
+    # maps whose relaxed value is beyond the lowest one, or beyond the best cost once the maps near
+    # the lowest are priced, and the best map again, are not priced; pricing every distinct visited
+    # map once would take 13 calls
+    assert calls[0] == 5
 
 
 def test_gap_stop_on_the_current_map_yields_it_once(pair):
@@ -440,6 +444,48 @@ def test_screened_selection_equals_pricing_every_visited_map(setting):
         assert form.cheapest((forward, None) for forward in starts) == min(
             (forward_cost(model, forward, g, g2), tuple(forward.tolist())) for forward in starts
         )
+    # a relaxed value that overflowed says nothing of its map's cost: neither an infinite value that
+    # would screen out the cheapest map nor a -inf that would screen out every other map hides it
+    g = random_graph(rng, 6, **kwargs)
+    g2 = random_graph(rng, 5, **kwargs)
+    form = _QapForm(model, g, g2)
+    maps = [_random_maximal_forward(rng, g.order, g2.order) for _ in range(8)]
+    priced = sorted((forward_cost(model, forward, g, g2), tuple(forward.tolist()), k) for k, forward in enumerate(maps))
+    first, second = priced[0][2], priced[1][2]
+    for overflowed in ({first: np.inf}, {second: -np.inf}, {first: np.inf, second: -np.inf}):
+        visited = [(maps[k], overflowed.get(k, cost)) for cost, _, k in priced]
+        assert form.cheapest(visited) == priced[0][:2]
+
+
+@pytest.mark.parametrize("setting", ["default", "non-dyadic", "vector"])
+def test_starts_sharing_explored_maps_select_the_same_map_for_fewer_products(setting, monkeypatch):
+    products = [0]
+    product = _QapForm.product
+
+    def counted(form, forward):
+        products[0] += 1
+        return product(form, forward)
+
+    monkeypatch.setattr(_QapForm, "product", counted)
+    model, kwargs = _model_and_graph_kwargs(setting)
+    rng = np.random.default_rng(38)
+    totals = {"shared": 0, "fresh": 0}
+    for _ in range(300):
+        g = random_graph(rng, int(rng.integers(0, 9)), **kwargs)
+        g2 = random_graph(rng, int(rng.integers(0, 9)), **kwargs)
+        form = _QapForm(model, g, g2)
+        starts = [_random_maximal_forward(rng, g.order, g2.order) for _ in range(6)]
+        counts = {}
+        for run in totals:
+            products[0] = 0
+            explored = set() if run == "shared" else None  # None: each start walks with a fresh set
+            best = form.cheapest(v for f in starts for v in _ipfp_refine(form, f, explored))
+            counts[run] = (best, products[0])
+            totals[run] += products[0]
+        assert counts["shared"][0] == counts["fresh"][0]
+        assert counts["shared"][1] <= counts["fresh"][1]
+    # starts do meet on walked maps, so the set is exercised
+    assert totals["shared"] < totals["fresh"], totals
 
 
 def test_mipfp_order_50_runs_in_bounded_memory():
