@@ -1,9 +1,12 @@
 """Edit-cost model and cost evaluation of vertex transformations.
 
-The cost of a vertex map is ``vertex term + c_er*removed + c_ei*inserted +
-c_es*mismatched``, counting undirected edges (``c_es`` is zero for
-unattributed edges); :func:`forward_cost` evaluates it from a raw forward
-map, :func:`transformation_cost` from a checked :class:`Transformation`.
+A map that substitutes ``k`` vertices at substitution cost ``subst`` and keeps
+``kept`` undirected edges, ``relabelled`` of them under a new label, costs
+``subst + c_vr*(n - k) + c_vi*(n2 - k)`` plus ``c_er*(|E| - kept) +
+c_ei*(|E2| - kept) + c_es*relabelled`` (no ``c_es`` term for unattributed
+edges). ``_price`` is that rule, for one map or a stack of maps alike.
+:func:`forward_cost` prices a raw forward map, :func:`transformation_cost` a
+checked :class:`Transformation`. Constants are compared exactly (``_integers``).
 A total that overflows raises GraphError where squared vector distances
 overflow, CostModelError where the constants do.
 """
@@ -58,13 +61,20 @@ def _check_constant(name: str, value: float) -> None:
         raise CostModelError(f"{name} must be finite and non-negative, got {value!r}")
 
 
+def _integers(*constants: float) -> list[int]:
+    """The constants as integers over one power of two, their common denominator: exact to add and compare."""
+    ratios = [float(c).as_integer_ratio() for c in constants]
+    den = max(d for _, d in ratios)
+    return [num * (den // d) for num, d in ratios]
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Removal/insertion constants plus substitution cost functions.
 
     Constants must be finite and non-negative. A label substitution cost
-    exceeding the matching removal + insertion total is rejected: such a
-    model never prefers substitution and breaks the minimal-transformation
+    above the exact removal + insertion total is rejected: such a model
+    never prefers substitution and breaks the minimal-transformation
     reading of the distance. Squared-distance vertex substitution cannot be
     bounded statically and only triggers a RuntimeWarning.
     """
@@ -81,7 +91,8 @@ class CostModel:
             _check_constant(name, getattr(self, name))
         if isinstance(self.vertex_subst, LabelDelta):
             _check_constant("vertex substitution cost c_vs", self.vertex_subst.cost)
-            if self.vertex_subst.cost > self.c_vr + self.c_vi:
+            vs, vr, vi = _integers(self.vertex_subst.cost, self.c_vr, self.c_vi)
+            if vs > vr + vi:
                 raise CostModelError(
                     "vertex substitution cost exceeds removal + insertion"
                 )
@@ -98,7 +109,8 @@ class CostModel:
             raise CostModelError("unsupported vertex substitution function")
         if isinstance(self.edge_subst, LabelDelta):
             _check_constant("edge substitution cost c_es", self.edge_subst.cost)
-            if self.edge_subst.cost > self.c_er + self.c_ei:
+            es, er, ei = _integers(self.edge_subst.cost, self.c_er, self.c_ei)
+            if es > er + ei:
                 raise CostModelError("edge substitution cost exceeds removal + insertion")
         elif not isinstance(self.edge_subst, ZeroCost):
             raise CostModelError("unsupported edge substitution function")
@@ -175,39 +187,39 @@ def _squared_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _vector_subst(u: np.ndarray, v: np.ndarray) -> float:
-    """Summed squared distances of paired vectors; ``inf`` where the sum overflows."""
+def _vector_subst(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    """Summed squared distances of paired vectors, of one map (k, d) or a stack (K, k, d); ``inf`` on overflow."""
     if not len(u):  # no pairs, so the two widths need not agree
         return 0.0
     with np.errstate(over="ignore"):
         d = u - v
-        return float((d * d).sum())
+        return (d * d).sum(axis=(-2, -1))
 
 
-def _vertex_term(model: CostModel, f: np.ndarray, g: AttributedGraph, g2: AttributedGraph) -> float:
-    sub = f < g2.order
-    targets = f[sub]
-    if isinstance(model.vertex_subst, LabelDelta):
-        subst = model.vertex_subst.cost * np.count_nonzero(g.vertex_attrs[sub] != g2.vertex_attrs[targets])
-    else:
-        subst = _vector_subst(g.vertex_attrs[sub], g2.vertex_attrs[targets])
-    n_sub = len(targets)
-    return float(subst + model.c_vr * (g.order - n_sub) + model.c_vi * (g2.order - n_sub))
-
-
-def _edge_term(model: CostModel, f: np.ndarray, g: AttributedGraph, g2: AttributedGraph) -> float:
-    rows, cols = np.nonzero(g.adjacency & _projected(g2.adjacency, f))
-    kept = len(rows) // 2
-    total = model.c_er * (g.n_edges - kept) + model.c_ei * (g2.n_edges - kept)
+def _price(model: CostModel, g: AttributedGraph, g2: AttributedGraph, k, subst, kept, relabelled):
+    """Cost of ``k`` substituted vertices whose substitutions cost ``subst`` and ``kept`` substituted
+    edges of which ``relabelled`` change label, for one map (scalars) or a stack of maps (arrays)."""
+    vertex = subst + model.c_vr * (g.order - k) + model.c_vi * (g2.order - k)
+    edge = model.c_er * (g.n_edges - kept) + model.c_ei * (g2.n_edges - kept)
     if isinstance(model.edge_subst, LabelDelta):
-        mismatched = np.count_nonzero(g.edge_attrs[rows, cols] != g2.edge_attrs[f[rows], f[cols]]) // 2
-        total += model.edge_subst.cost * mismatched
-    return float(total)
+        edge = edge + model.edge_subst.cost * relabelled
+    return vertex + edge
 
 
 def _map_cost(model: CostModel, f: np.ndarray, g: AttributedGraph, g2: AttributedGraph) -> float:
     """Unchecked cost of the forward map ``f``; ``inf`` where it overflows."""
-    return _vertex_term(model, f, g, g2) + _edge_term(model, f, g, g2)
+    # counts and sums as Python scalars, so a total that overflows is inf without a numpy warning
+    sub = f < g2.order
+    targets = f[sub]
+    if isinstance(model.vertex_subst, LabelDelta):
+        subst = model.vertex_subst.cost * int(np.count_nonzero(g.vertex_attrs[sub] != g2.vertex_attrs[targets]))
+    else:
+        subst = float(_vector_subst(g.vertex_attrs[sub], g2.vertex_attrs[targets]))
+    rows, cols = np.nonzero(g.adjacency & _projected(g2.adjacency, f))
+    relabelled = 0
+    if isinstance(model.edge_subst, LabelDelta):
+        relabelled = int(np.count_nonzero(g.edge_attrs[rows, cols] != g2.edge_attrs[f[rows], f[cols]])) // 2
+    return float(_price(model, g, g2, len(targets), subst, len(rows) // 2, relabelled))
 
 
 def _checked(model: CostModel, total: float, f: np.ndarray, g: AttributedGraph, g2: AttributedGraph) -> float:
@@ -240,29 +252,24 @@ def _stack_costs(
     """:func:`forward_cost` of every map that substitutes the ascending ``sources`` by a row of the
     (K, k) stack ``images`` and removes every other vertex of ``g``; ``inf`` where it overflows.
 
-    Each term is formed in :func:`forward_cost`'s order of operations, so
-    under every model each entry equals the per-map cost bit for bit.
+    The counts are taken for the whole stack at once and priced by
+    ``_price``, as a single map's are, so under every model each entry
+    equals the per-map cost bit for bit.
     """
-    k = len(sources)
     if isinstance(model.vertex_subst, LabelDelta):
         mismatched = np.count_nonzero(g.vertex_attrs[sources] != g2.vertex_attrs[images], axis=-1)
-        vertex = model.vertex_subst.cost * mismatched
-    elif k:  # with no pairs the two widths need not agree
-        with np.errstate(over="ignore"):
-            d = g.vertex_attrs[sources] - g2.vertex_attrs[images]
-            vertex = (d * d).sum(axis=(-2, -1))
+        subst = model.vertex_subst.cost * mismatched
     else:
-        vertex = np.zeros(len(images))
-    vertex = vertex + model.c_vr * (g.order - k) + model.c_vi * (g2.order - k)
+        subst = _vector_subst(g.vertex_attrs[sources], g2.vertex_attrs[images])
     pairs = np.ix_(sources, sources)
     image_pairs = images[:, :, None], images[:, None, :]
     kept_edges = g.adjacency[pairs] & g2.adjacency[image_pairs]
     kept = np.count_nonzero(kept_edges, axis=(-2, -1)) // 2
-    edge = model.c_er * (g.n_edges - kept) + model.c_ei * (g2.n_edges - kept)
+    relabelled = 0
     if isinstance(model.edge_subst, LabelDelta):
-        relabelled = kept_edges & (g.edge_attrs[pairs] != g2.edge_attrs[image_pairs])
-        edge = edge + model.edge_subst.cost * (np.count_nonzero(relabelled, axis=(-2, -1)) // 2)
-    return vertex + edge
+        changed = kept_edges & (g.edge_attrs[pairs] != g2.edge_attrs[image_pairs])
+        relabelled = np.count_nonzero(changed, axis=(-2, -1)) // 2
+    return _price(model, g, g2, len(sources), subst, kept, relabelled)
 
 
 def transformation_cost(

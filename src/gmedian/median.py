@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .costs import CostModel, LabelDelta, check_model_compatible, forward_cost
+from .costs import CostModel, LabelDelta, _integers, check_model_compatible, forward_cost
 from .graphs import (
     LABEL,
     AttributedGraph,
@@ -279,9 +279,7 @@ def _kept(model: CostModel, ces: float, m: int, s: np.ndarray, top: np.ndarray) 
     The three constants are written as integers over one power of two and the
     rule is compared in Python integers, so no term rounds or overflows.
     """
-    ratios = [float(c).as_integer_ratio() for c in (ces, model.c_er, model.c_ei)]
-    den = max(d for _, d in ratios)
-    es, er, ei = (num * (den // d) for num, d in ratios)
+    es, er, ei = _integers(ces, model.c_er, model.c_ei)
     s = s.astype(object)
     return (es * (s - top) + er * (m - s) < ei * s).astype(np.int8)
 

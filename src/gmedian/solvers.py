@@ -147,11 +147,12 @@ def ged_exact(model: CostModel, g: AttributedGraph, g2: AttributedGraph) -> GedR
     rejected. For each number k of substitutions and each k-subset of
     source vertices, the images run through every k-permutation of target
     vertices in lexicographic order, scored in stacks of at most
-    ``_EXACT_STACK`` maps by :func:`costs._stack_costs`, which prices each
-    map exactly as :func:`costs.forward_cost` does. So under every model
-    the result is the least ``(forward_cost, forward map)`` pair: among
-    cost ties the lexicographically smallest forward map wins. The pair is
-    checked as every method checks it, by building its :class:`_QapForm`.
+    ``_EXACT_STACK`` maps by :func:`costs._stack_costs`, which prices the
+    stack's edit counts by ``costs._price`` as :func:`costs.forward_cost`
+    prices one map's. So under every model the result is the least
+    ``(forward_cost, forward map)`` pair: among cost ties the
+    lexicographically smallest forward map wins. The pair is checked as
+    every method checks it, by building its :class:`_QapForm`.
     """
     if max(g.order, g2.order) > _EXACT_ORDER_CAP:
         raise SolverError(

@@ -72,6 +72,14 @@ def test_triangle_guard():
         make_cost_model(c_vr=-1.0)
     # boundary: equality is allowed
     make_cost_model(c_vs=6.0, c_vr=3.0, c_vi=3.0)
+    # the bound holds in exact arithmetic: 0.1 + 0.2 rounds to 0.30000000000000004 but is below it
+    with pytest.raises(CostModelError, match="exceeds"):
+        make_cost_model(c_es=0.30000000000000004, c_er=0.1, c_ei=0.2)
+    with pytest.raises(CostModelError, match="exceeds"):
+        make_cost_model(c_vs=0.30000000000000004, c_vr=0.1, c_vi=0.2)
+    make_cost_model(c_es=0.3, c_er=0.1, c_ei=0.2)
+    make_cost_model(c_vs=1.1, c_es=0.3, c_vr=0.7, c_vi=0.7, c_er=0.1, c_ei=0.2)
+    make_cost_model(c_es=6, c_er=3, c_ei=3)
 
 
 def test_squared_euclidean_warns():
@@ -241,6 +249,14 @@ def test_overflowing_constants_are_rejected_by_every_pricing_function():
     # one removed edge at c_er = 1e308 still has a finite cost
     model = make_cost_model(c_er=1e308)
     assert transformation_cost(model, t, g, h) == forward_cost(model, t.forward, g, h) == 1e308
+    # finite terms whose sum overflows: a vertex and an edge insertion, a relabelling and an insertion
+    one = build_graph(1, [1], [], edge_labels=True)
+    for constants, forward in ((dict(c_vi=1e308, c_ei=1e308), [0]), (dict(c_vs=1e308, c_vi=1e308), [1])):
+        model = make_cost_model(**constants)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CostModelError, match="edit cost of the map overflows"):
+                forward_cost(model, np.array(forward), one, g)
 
 
 def test_vectors_of_unequal_width_are_a_cost_model_error():
