@@ -14,6 +14,7 @@ overflow, CostModelError where the constants do.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -56,9 +57,17 @@ class ZeroCost:
     """Free substitution, for edges that carry no attributes."""
 
 
-def _check_constant(name: str, value: float) -> None:
+def _constant(name: str, value: float) -> float:
+    """``value`` as a float; CostModelError unless it is a finite, non-negative real number."""
+    if not isinstance(value, numbers.Real):
+        raise CostModelError(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer or fraction beyond the float range
+        raise CostModelError(f"{name} does not fit in a float") from None
     if not 0 <= value <= sys.float_info.max:  # also false for NaN
         raise CostModelError(f"{name} must be finite and non-negative, got {value!r}")
+    return value
 
 
 def _integers(*constants: float) -> list[int]:
@@ -72,11 +81,12 @@ def _integers(*constants: float) -> list[int]:
 class CostModel:
     """Removal/insertion constants plus substitution cost functions.
 
-    Constants must be finite and non-negative. A label substitution cost
-    above the exact removal + insertion total is rejected: such a model
-    never prefers substitution and breaks the minimal-transformation
-    reading of the distance. Squared-distance vertex substitution cannot be
-    bounded statically and only triggers a RuntimeWarning.
+    Constants must be finite, non-negative real numbers, stored as floats
+    so that every price is float64. A label substitution cost above the
+    exact removal + insertion total is rejected: such a model never prefers
+    substitution and breaks the minimal-transformation reading of the
+    distance. Squared-distance vertex substitution cannot be bounded
+    statically and only triggers a RuntimeWarning.
     """
 
     c_vr: float
@@ -88,10 +98,11 @@ class CostModel:
 
     def __post_init__(self) -> None:
         for name in ("c_vr", "c_vi", "c_er", "c_ei"):
-            _check_constant(name, getattr(self, name))
+            object.__setattr__(self, name, _constant(name, getattr(self, name)))
         if isinstance(self.vertex_subst, LabelDelta):
-            _check_constant("vertex substitution cost c_vs", self.vertex_subst.cost)
-            vs, vr, vi = _integers(self.vertex_subst.cost, self.c_vr, self.c_vi)
+            c_vs = _constant("vertex substitution cost c_vs", self.vertex_subst.cost)
+            object.__setattr__(self, "vertex_subst", LabelDelta(c_vs))
+            vs, vr, vi = _integers(c_vs, self.c_vr, self.c_vi)
             if vs > vr + vi:
                 raise CostModelError(
                     "vertex substitution cost exceeds removal + insertion"
@@ -108,8 +119,9 @@ class CostModel:
         else:
             raise CostModelError("unsupported vertex substitution function")
         if isinstance(self.edge_subst, LabelDelta):
-            _check_constant("edge substitution cost c_es", self.edge_subst.cost)
-            es, er, ei = _integers(self.edge_subst.cost, self.c_er, self.c_ei)
+            c_es = _constant("edge substitution cost c_es", self.edge_subst.cost)
+            object.__setattr__(self, "edge_subst", LabelDelta(c_es))
+            es, er, ei = _integers(c_es, self.c_er, self.c_ei)
             if es > er + ei:
                 raise CostModelError("edge substitution cost exceeds removal + insertion")
         elif not isinstance(self.edge_subst, ZeroCost):

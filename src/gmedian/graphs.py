@@ -299,24 +299,16 @@ def _projected(a2: np.ndarray, forward: np.ndarray) -> np.ndarray:
     return a2pad[forward[..., :, None], forward[..., None, :]]
 
 
-def graphs_equal(a: AttributedGraph, b: AttributedGraph, vec_tol: float = 0.0) -> bool:
-    """Structural equality: attributes, adjacency and edge labels on edges.
+def graphs_equal(a: AttributedGraph, b: AttributedGraph) -> bool:
+    """Exact structural equality: vertex attributes, adjacency and edge labels on edges.
 
-    Vector attributes compare within ``vec_tol`` per coordinate (exact when
-    zero); graph ids are ignored, as are edge-attribute entries at
-    non-adjacent positions.
+    Graph ids are ignored, as are edge-attribute entries at non-adjacent
+    positions and the vector width of a graph without vertices.
     """
     if a.order != b.order or a.vertex_mode != b.vertex_mode or a.edge_mode != b.edge_mode:
         return False
-    if a.vertex_mode == LABEL:
-        if not np.array_equal(a.vertex_attrs, b.vertex_attrs):
-            return False
-    else:
-        # dimension is unobservable on zero vertices
-        if a.order and a.vector_dim != b.vector_dim:
-            return False
-        if a.order and np.max(np.abs(a.vertex_attrs - b.vertex_attrs), initial=0.0) > vec_tol:
-            return False
+    if a.order and not np.array_equal(a.vertex_attrs, b.vertex_attrs):
+        return False
     if not np.array_equal(a.adjacency, b.adjacency):
         return False
     if a.edge_attrs is not None:

@@ -130,8 +130,6 @@ def _assignment(cost: np.ndarray) -> np.ndarray:
     """The assignment of :func:`solve_lsap` for a square float64 ``cost``, without its objective."""
     if not (cost > -np.inf).all():  # false for NaN and -inf
         raise LsapError("cost matrix contains NaN or -inf entries")
-    if cost.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
     try:
         # for square input the rows come back as arange(n), so cols is the assignment
         _, cols = linear_sum_assignment(cost)

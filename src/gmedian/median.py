@@ -52,7 +52,6 @@ __all__ = [
 
 log = logging.getLogger("gmedian.median")
 
-_VEC_TOL = 1e-9
 _IMPROVE_EPS = 1e-12
 
 
@@ -396,7 +395,7 @@ def _descend(
             log.info("iteration=%d sod_upper=%.12g rose, step undone", it, sod_upper)
             break
         # a map is replaced only by a strictly cheaper, hence different, one
-        converged = changed == 0 and graphs_equal(median, state.median, vec_tol=_VEC_TOL)
+        converged = changed == 0 and graphs_equal(median, state.median)
         state = MedianState(median, maps, sod_upper, it)
         seconds = time.perf_counter() - tick
         trace.append(IterationRecord(it, sod_upper, changed, seconds))
@@ -415,11 +414,11 @@ def compute_median(
 
     Phase 1 picks the set median with ``config.ged_phase1``. Phase 2
     alternates the closed-form median update with the keep-if-better
-    transformation update using ``config.ged_phase2``, until neither the
-    median (exact labels/adjacency, 1e-9 per vector coordinate) nor any
-    forward map changes, ``max_iters`` is hit, or a step would raise
-    ``sod_upper`` (that step is undone). The trace starts with the set
-    median as iteration 0, and its ``sod_upper`` values never increase.
+    transformation update using ``config.ged_phase2``, until a step changes
+    neither the median (compared exactly) nor any forward map, ``max_iters``
+    is hit, or a step would raise ``sod_upper`` (that step is undone). The
+    trace starts with the set median as iteration 0, and its ``sod_upper``
+    values never increase.
     """
     if not collection:
         raise ValueError("collection must be non-empty")

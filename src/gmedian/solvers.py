@@ -390,8 +390,7 @@ def _ipfp_refine(
 def _random_maximal_forward(rng: np.random.Generator, n: int, n2: int) -> np.ndarray:
     k = min(n, n2)
     forward = np.full(n, n2, dtype=np.int64)
-    if k:
-        forward[rng.permutation(n)[:k]] = rng.permutation(n2)[:k]
+    forward[rng.permutation(n)[:k]] = rng.permutation(n2)[:k]
     return forward
 
 

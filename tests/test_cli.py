@@ -168,6 +168,27 @@ def test_negative_seed_is_usage_error(method, graph_files, capsys):
     assert capsys.readouterr().err == "error: rng_seed must be non-negative, got -1\n"
 
 
+def test_integer_cost_constants_in_a_config_file_price_as_floats(tmp_path, capsys):
+    a, b = tmp_path / "a.gmg", tmp_path / "b.gmg"
+    save_graph(build_graph(3, [1, 2, 3], [(0, 1, 1), (1, 2, 2)]), a)
+    save_graph(build_graph(3, [1, 2, 2], [(0, 1, 1)]), b)
+    outputs = []
+    for kind in (int, float):
+        cfg = tmp_path / f"{kind.__name__}.json"
+        constants = dict(c_vs=1, c_es=1, c_vr=2**61, c_vi=2**61, c_er=3, c_ei=3)
+        cfg.write_text(json.dumps({"cost": {key: kind(value) for key, value in constants.items()}}))
+        assert main(["ged", str(a), str(b), "--method", "exact", "--config", str(cfg)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[0].splitlines()[0] == "cost 4"
+    # integers near the float limit overflow in sum, as their float values do
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"cost": {"c_vr": 10**308, "c_vi": 10**308}}))
+    assert main(["ged", str(a), str(b), "--method", "exact", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: "), err
+    assert err.endswith(" overflows with c_vr=1e+308, c_vi=1e+308, c_er=3.0, c_ei=3.0\n"), err
+
+
 @pytest.mark.parametrize("method", ["exact", "bipartite", "mipfp"])
 def test_removal_cost_above_1e15(method, tmp_path, capsys):
     a, b = tmp_path / "l3.gmg", tmp_path / "l1.gmg"

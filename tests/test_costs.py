@@ -12,6 +12,7 @@ from gmedian import (
     GedSolverConfig,
     GraphError,
     LabelDelta,
+    SolverError,
     SquaredEuclidean,
     ZeroCost,
     build_graph,
@@ -183,6 +184,50 @@ def test_non_finite_substitution_costs_are_rejected_on_direct_construction():
         CostModel(1.0, 1.0, 1.0, 1.0, LabelDelta(float("nan")), ZeroCost())
     with pytest.raises(CostModelError, match="edge substitution cost"):
         CostModel(1.0, 1.0, 1.0, 1.0, LabelDelta(0.5), LabelDelta(float("nan")))
+
+
+@pytest.mark.parametrize("value", ["3", None, 1j, 10**400])
+def test_a_constant_that_is_no_real_number_or_fits_no_float_is_rejected_by_name(value):
+    for name in ("c_vr", "c_vi", "c_er", "c_ei", "c_vs", "c_es"):
+        with pytest.raises(CostModelError, match=name):
+            make_cost_model(**{name: value})
+
+
+# in int64, this pair's costs under constants near 2**61 wrap; its exact map substitutes every vertex at cost 4
+WRAP_PAIR = (build_graph(3, [1, 2, 3], [(0, 1, 1), (1, 2, 2)]), build_graph(3, [1, 2, 2], [(0, 1, 1)]))
+
+
+def test_constants_are_stored_as_floats():
+    g, g2 = WRAP_PAIR
+    constants = dict(c_vs=1, c_es=True, c_vr=2**61, c_vi=np.int64(2**61), c_er=np.float32(3), c_ei=3)
+    model = make_cost_model(**constants)
+    stored = (model.vertex_subst.cost, model.edge_subst.cost, model.c_vr, model.c_vi, model.c_er, model.c_ei)
+    assert [type(c) for c in stored] == [float] * 6
+    assert stored == (1.0, 1.0, 2.0**61, 2.0**61, 3.0, 3.0)
+    # integer constants price in float64, as float ones do, instead of wrapping in int64
+    for model in (model, make_cost_model(**{key: float(value) for key, value in constants.items()})):
+        result = solve_ged(model, g, g2, GedSolverConfig(method="exact"))
+        assert result.cost == 4.0 and result.transformation.forward.tolist() == [0, 1, 2]
+
+
+def test_integer_constants_that_overflow_in_sum_are_rejected_as_float_ones_are():
+    g, g2 = WRAP_PAIR
+    model = make_cost_model(c_vr=10**308, c_vi=10**308)
+    for method in ("mipfp", "exact"):
+        with pytest.raises(SolverError, match="overflows"):
+            solve_ged(model, g, g2, GedSolverConfig(method=method))
+    with pytest.raises(CostModelError, match="edit cost of the map overflows"):
+        forward_cost(model, np.array([3, 3, 3]), g, g2)
+
+
+def test_float32_constants_price_in_float64_without_warning():
+    g, g2 = WRAP_PAIR
+    tenths = dict(c_vs=0.1, c_es=0.1, c_vr=0.7, c_vi=0.7, c_er=0.3, c_ei=0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = make_cost_model(**{key: np.float32(value) for key, value in tenths.items()})
+        result = solve_ged(model, g, g2, GedSolverConfig(method="exact"))
+        assert result.cost == forward_cost(model, result.transformation.forward, g, g2)
 
 
 def test_cost_model_requires_known_modes():

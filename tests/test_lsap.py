@@ -25,6 +25,9 @@ def test_tiny_examples():
     assignment, objective = solve_lsap(np.array([[4.0, 1.0], [2.0, 3.0]]))
     assert assignment.tolist() == [1, 0]
     assert objective == 3.0
+    # an empty matrix goes through the same kernel call
+    assignment, objective = solve_lsap(np.zeros((0, 0)))
+    assert assignment.dtype == np.int64 and assignment.shape == (0,) and objective == 0.0
 
 
 def test_matches_brute_force():

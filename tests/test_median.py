@@ -22,6 +22,7 @@ from gmedian import (
     transformation_cost,
     transformation_from_forward,
 )
+from gmedian import median
 from gmedian.costs import forward_cost
 from gmedian.graphs import AttributedGraph
 from gmedian.median import (
@@ -550,6 +551,35 @@ def test_converged_exactly_when_the_last_step_changes_nothing(vertex_mode):
             outcomes.add((result.converged, last.changed > 0))
     # both sides are exercised: a fixed point, and a cut run whose last step moved a map
     assert {(True, False), (False, True)} <= outcomes
+
+
+def test_convergence_needs_a_median_that_the_update_leaves_unchanged(monkeypatch):
+    # coordinates whose means and squared distances are exact in binary; no member is the mean
+    collection = [
+        build_graph(3, [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]], [(0, 1), (1, 2)]),
+        build_graph(3, [[0.25, 0.0], [2.0, 0.25], [1.0, 2.0]], [(0, 1), (1, 2)]),
+        build_graph(3, [[1.25, 0.0], [2.0, 1.25], [0.5, 2.0]], [(0, 1), (1, 2)]),
+    ]
+    with pytest.warns(RuntimeWarning):
+        model = make_cost_model("vector", "none")
+    real_update, calls = median._updated_median, []
+
+    def nudged_update(state, members, model):
+        updated = real_update(state, members, model)
+        calls.append(state)
+        if len(calls) != 2:
+            return updated
+        # the second step's median lands 1e-12 off the mean: no fixed point of the update
+        coords = updated.vertex_attrs.copy()
+        coords[0, 0] += 1e-12
+        return AttributedGraph(coords, updated.adjacency, updated.edge_attrs, updated.graph_id)
+
+    monkeypatch.setattr(median, "_updated_median", nudged_update)
+    result = compute_median(model, collection, DescentConfig(ged_phase1=EXACT, ged_phase2=EXACT))
+    assert result.converged and result.iterations == 4
+    assert [r.sod_upper for r in result.trace] == [3.375, 2.25, 2.25, 2.25, 2.25]
+    final = MedianState(result.median, result.transformations, result.sod, result.iterations)
+    assert graphs_equal(real_update(final, collection, model), result.median)
 
 
 def _non_dyadic_descent(seed):
