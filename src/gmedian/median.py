@@ -5,13 +5,14 @@ per-graph transformations held fixed, every attribute and adjacency
 coordinate of the candidate median has a closed-form optimum (majority
 label, attribute mean, or an exact edge rule); with the median held
 fixed, each transformation is re-optimized by a configured solver and the
-new map is adopted only when it strictly improves on the previous one
-re-evaluated against the updated median. The sum of the transformation
-costs (an upper bound on the sum of distances, ``sod_upper``) therefore
-never increases: a step whose rounded sum would come out higher (a median
-move at a tie, under constants such as 0.1) is undone, and the descent
-stops there. The candidate order is fixed by the initializer, the
-collection member minimizing the sum of estimated distances (set median).
+new map is adopted only when it is strictly cheaper, with no tolerance,
+than the previous one re-evaluated against the updated median. The sum
+of the transformation costs (an upper bound on the sum of distances,
+``sod_upper``) therefore never increases: a step whose rounded sum would
+come out higher (a median move at a tie, under constants such as 0.1) is
+undone, and the descent stops there. The candidate order is fixed by the
+initializer, the collection member minimizing the sum of estimated
+distances (set median).
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ __all__ = [
 ]
 
 log = logging.getLogger("gmedian.median")
-
-_IMPROVE_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -349,10 +348,11 @@ def update_transformations(
 ) -> tuple[list[Transformation], float, int]:
     """Re-optimize every transformation against ``median``, keep-if-better.
 
-    A solver candidate replaces the previous map only when its cost strictly
-    improves on the previous map's cost against the updated median, so the
-    summed cost never increases. Returns the new maps, their summed cost,
-    and how many were replaced.
+    A solver candidate replaces the previous map only when its cost is
+    strictly below the previous map's cost against the updated median, with
+    no tolerance: the floats compared are those summed, so the summed cost
+    never increases. Returns the new maps, their summed cost, and how many
+    were replaced.
     """
     new_ts: list[Transformation] = []
     costs: list[float] = []
@@ -361,7 +361,7 @@ def update_transformations(
         t = transformations[p]
         cost = forward_cost(model, t.forward, median, gp)
         cand = solve_ged(model, median, gp, _seeded(config, iteration, p))
-        if cand.cost < cost - _IMPROVE_EPS:
+        if cand.cost < cost:
             t, cost = cand.transformation, cand.cost
             changed += 1
         new_ts.append(t)

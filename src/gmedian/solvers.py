@@ -44,10 +44,11 @@ checks a pair as its step 1 does:
    reaches it);
 5. keep the cheapest map, ties to the lexicographically smaller one, and
    build its :class:`Transformation`. A relaxed value is its map's cost up
-   to rounding, so :func:`costs.forward_cost`'s rule prices a map without a
-   finite one at once, keeps the others only while their value is within
-   ``_SCREEN_MARGIN`` of the lowest so far, and prices those in ascending
-   value until one is beyond the margin of the best cost: no other can win.
+   to a rounding that grows with its largest term, and under label costs
+   ``c0`` bounds every term. So :func:`costs.forward_cost`'s rule prices a
+   map without a finite value at once, keeps the others only while their
+   value is within ``_SCREEN_MARGIN`` times ``max(|lowest|, c0)`` of the
+   lowest value so far, and prices every map it kept.
 
 Every result carries a concrete transformation whose true cost is the
 reported value, so heuristic outputs are always valid upper bounds. A pair
@@ -131,13 +132,13 @@ _EXACT_ORDER_CAP = 8  # larger orders are refused; two graphs of order 8 have 1,
 _EXACT_STACK = 4096  # maps scored per array pass; bounds memory whatever the order cap
 _IPFP_TOL = 1e-4  # relative stop of an IPFP start, see the module docstring
 _IPFP_MAX_ITERS = 50  # steps per IPFP start
-_SCREEN_MARGIN = 1e-9  # relative; a relaxed value this far above the best cost is no rounding error
+_SCREEN_MARGIN = 1e-9  # relative to max(|bound|, c0); a relaxed value this far above is no rounding error
 _EXPLORED_MAPS = 256  # maps per solve whose IPFP walk later starts skip, see _ipfp_refine
 
 
-def _within_margin(value: float, bound: float) -> bool:
-    """Whether ``value`` is at most ``bound`` up to the rounding that ``_SCREEN_MARGIN`` allows."""
-    return value <= bound + _SCREEN_MARGIN * max(1.0, abs(bound))
+def _within_margin(value: float, bound: float, c0: float) -> bool:
+    """Whether ``value`` is at most ``bound`` up to the rounding that ``_SCREEN_MARGIN`` allows, on a pair of ``c0``."""
+    return value <= bound + _SCREEN_MARGIN * max(abs(bound), c0)
 
 
 def ged_exact(model: CostModel, g: AttributedGraph, g2: AttributedGraph) -> GedResult:
@@ -294,8 +295,8 @@ class _QapForm:
         """(true cost, forward tuple) of the cheapest of (forward, relaxed value or None), ties to the smaller map.
 
         A map without a finite relaxed value is priced at once. A valued map is kept, once, while its
-        value is within ``_SCREEN_MARGIN`` of the lowest value so far; at the end the kept maps are
-        priced in ascending value until one is beyond the margin of the best cost: no later one can win.
+        value is within ``_SCREEN_MARGIN`` times ``max(|lowest|, c0)`` of the lowest value so far, and
+        every kept map is priced at the end: the (cost, map) minimum does not depend on the order.
         """
         best: tuple[float, tuple[int, ...] | None] = (np.inf, None)
         low, kept = np.inf, {}  # the lowest relaxed value; key -> (value, forward) of the maps near it
@@ -303,14 +304,12 @@ class _QapForm:
             key = tuple(forward.tolist())
             if value is None or not math.isfinite(value):
                 best = self._priced(best, forward, key)
-            elif _within_margin(value, low):
+            elif _within_margin(value, low, self.c0):
                 if value < low:
                     low = value
-                    kept = {k: kv for k, kv in kept.items() if _within_margin(kv[0], low)}
+                    kept = {k: kv for k, kv in kept.items() if _within_margin(kv[0], low, self.c0)}
                 kept[key] = (value, forward)
-        for key, (value, forward) in sorted(kept.items(), key=lambda item: item[1][0]):
-            if not _within_margin(value, best[0]):
-                break
+        for key, (_, forward) in kept.items():
             best = self._priced(best, forward, key)
         return best
 

@@ -615,6 +615,45 @@ def test_an_undone_step_stops_the_descent_unconverged():
     assert not second.converged and second.iterations == 1
 
 
+SCALE_CONSTANTS = {
+    "label": dict(c_vs=1.0, c_es=1.0, c_vr=3.0, c_vi=3.0, c_er=3.0, c_ei=3.0),
+    "vector": dict(c_vr=0.9, c_vi=0.9, c_er=1.7, c_ei=1.7),
+}
+
+
+@pytest.mark.parametrize("vertex_mode", ["label", "vector"])
+def test_scaling_every_constant_by_a_power_of_two_scales_every_sod_and_moves_no_map(vertex_mode):
+    # no decision of the descent or of its solver depends on the unit the costs are written in
+    edge_mode = "label" if vertex_mode == "label" else "none"
+    constants, factor = SCALE_CONSTANTS[vertex_mode], 2.0**-40
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # squared distances are unbounded
+        model = make_cost_model(vertex_mode, edge_mode, **constants)
+        small = make_cost_model(vertex_mode, edge_mode, **{c: v * factor for c, v in constants.items()})
+
+    def shrunk(g):  # squared distances shrink by the factor
+        attrs = g.vertex_attrs if vertex_mode == "label" else g.vertex_attrs * 2.0**-20
+        return AttributedGraph(attrs, g.adjacency, g.edge_attrs, g.graph_id)
+
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        collection = [
+            random_graph(rng, int(rng.integers(2, 7)), vertex_mode=vertex_mode, edge_mode=edge_mode)
+            for _ in range(int(rng.integers(3, 10)))
+        ]
+        config = DescentConfig(
+            ged_phase1=GedSolverConfig(method="mbipartite", multistart_count=3, rng_seed=seed),
+            ged_phase2=GedSolverConfig(method="mipfp", multistart_count=3, rng_seed=seed),
+        )
+        result = compute_median(model, collection, config)
+        scaled = compute_median(small, [shrunk(g) for g in collection], config)
+        assert graphs_equal(scaled.median, shrunk(result.median))
+        maps = [t.forward.tolist() for t in result.transformations]
+        assert [t.forward.tolist() for t in scaled.transformations] == maps
+        assert (scaled.converged, scaled.iterations) == (result.converged, result.iterations)
+        assert [r.sod_upper for r in scaled.trace] == [r.sod_upper * factor for r in result.trace]
+
+
 def test_compute_median_of_an_empty_vector_graph_of_another_width():
     # an order-0 graph states its own vector width; it has no vertex to compare
     with pytest.warns(RuntimeWarning):

@@ -455,6 +455,45 @@ def test_screened_selection_equals_pricing_every_visited_map(setting):
     for overflowed in ({first: np.inf}, {second: -np.inf}, {first: np.inf, second: -np.inf}):
         visited = [(maps[k], overflowed.get(k, cost)) for cost, _, k in priced]
         assert form.cheapest(visited) == priced[0][:2]
+    # the screen's margin follows the pair's scale: at c0 = 1.38e9 both tied maps' relaxed values read
+    # 2.1457672119140625e-06, 1.46e-7 above their cost of 2e-6, and the tie rule picks [2, 1, 3, 0]
+    g = build_graph(4, [2, 1, 2, 1], [(0, 3, 1), (1, 2, 1), (1, 3, 1)])
+    g2 = build_graph(4, [1, 2, 1, 2], [(0, 1, 1), (0, 2, 1), (1, 3, 1)])
+    big = 98765432.1
+    model = make_cost_model(c_vs=1e-6, c_es=1e-6, c_vr=big, c_vi=big, c_er=big, c_ei=big)
+    for count in (6, 40):
+        result = solve_ged(model, g, g2, GedSolverConfig(method="mipfp", multistart_count=count, rng_seed=0))
+        assert result.transformation.forward.tolist() == [2, 1, 3, 0]
+        assert result.cost == forward_cost(model, np.array([3, 0, 2, 1]), g, g2) == 2e-6
+    # the visits of the 6-start solve, whose starts share their explored maps
+    form, rng, explored = _QapForm(model, g, g2), np.random.default_rng(0), set()
+    starts = [solvers._bipartite_forward(form)] + [_random_maximal_forward(rng, 4, 4) for _ in range(6)]
+    visited = [v for f in starts for v in _ipfp_refine(form, f, explored)]
+    every = min((forward_cost(model, f, g, g2), tuple(f.tolist())) for f, _ in visited)
+    assert form.cheapest(visited) == every
+
+
+def test_explored_maps_stay_within_the_cap_and_select_what_fresh_sets_select(monkeypatch):
+    model = make_cost_model()
+    rng = np.random.default_rng(39)
+    capped = 0  # pairs whose starts would have explored more maps than the cap
+    for _ in range(60):
+        g = random_graph(rng, int(rng.integers(2, 9)))
+        g2 = random_graph(rng, int(rng.integers(2, 9)))
+        form = _QapForm(model, g, g2)
+        starts = [_random_maximal_forward(rng, g.order, g2.order) for _ in range(8)]
+        uncapped = set()
+        for f in starts:
+            list(_ipfp_refine(form, f, uncapped))
+        capped += len(uncapped) > 3
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_EXPLORED_MAPS", 3)
+            explored, shared = set(), []
+            for f in starts:
+                shared += _ipfp_refine(form, f, explored)
+                assert len(explored) <= 3
+            assert form.cheapest(shared) == form.cheapest(v for f in starts for v in _ipfp_refine(form, f))
+    assert capped
 
 
 @pytest.mark.parametrize("setting", ["default", "non-dyadic", "vector"])
