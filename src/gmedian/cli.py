@@ -53,7 +53,7 @@ def _library_defaults() -> dict:
         },
         "data": vars(ModeHints()),
         "run": {
-            "sample": experiment.per_class_sample, "repeats": experiment.repeats, "max_iters": descent.max_iters,
+            "sample": experiment.per_class_sample, "repeats": experiment.repeats,
             "threads": 1,  # accepted and ignored: every solve runs on one thread
             "out": None,
         },
@@ -77,7 +77,6 @@ FLAGS = (
     ("run", "sample", {"type": float, "metavar": "X", "help": "per-class count (>=1) or fraction (<1)"}),
     ("run", "repeats", {"type": int, "metavar": "N", "help": "experiment repetitions"}),
     ("run", "out", {"metavar": "PATH", "help": "output file"}),
-    ("run", "max_iters", {"type": int, "metavar": "N", "help": "descent iteration cap"}),
     ("data", "node_kind", {"choices": [LABEL, VECTOR], "help": "vertex attribute kind"}),
     ("data", "node_attrs", {"type": _comma_list, "metavar": "NAMES", "help": "comma list of GXL attr names"}),
     ("data", "edge_kind", {"choices": [LABEL, NO_EDGE_ATTRS], "help": "edge attribute kind"}),
@@ -201,7 +200,6 @@ def _descent_config(config: dict) -> DescentConfig:
     return DescentConfig(
         ged_phase1=_solver_config(config, config["ged"]["phase1"]),
         ged_phase2=_solver_config(config, config["ged"]["phase2"]),
-        max_iters=int(config["run"]["max_iters"]),
     )
 
 

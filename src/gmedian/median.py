@@ -32,7 +32,7 @@ from .graphs import (
     graphs_equal,
     identity_transformation,
 )
-from .solvers import GedResult, GedSolverConfig, _check_whole, solve_ged
+from .solvers import GedResult, GedSolverConfig, solve_ged
 
 __all__ = [
     "DescentConfig",
@@ -53,19 +53,15 @@ __all__ = [
 
 log = logging.getLogger("gmedian.median")
 
+_MAX_ITERS = 100  # descent steps; no descent of the tests or benchmarks reaches it
+
 
 @dataclass(frozen=True)
 class DescentConfig:
-    """Solvers and limits for the two phases of the median search."""
+    """Solvers for the two phases of the median search."""
 
     ged_phase1: GedSolverConfig = GedSolverConfig(method="mbipartite")
     ged_phase2: GedSolverConfig = GedSolverConfig(method="mipfp")
-    max_iters: int = 100
-
-    def __post_init__(self) -> None:
-        _check_whole(ValueError, max_iters=self.max_iters)
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
@@ -146,8 +142,8 @@ class MedianResult:
     """The median, its maps and the descent trace, which holds every SOD.
 
     ``converged``: the last step changed neither the median nor any map.
-    ``iterations`` counts the kept steps; below the cap without
-    ``converged``, the descent stopped at a step it undid.
+    ``iterations`` counts the kept steps; below the cap of ``_MAX_ITERS``
+    without ``converged``, the descent stopped at a step it undid.
     """
 
     median: AttributedGraph
@@ -374,9 +370,8 @@ def _descend(
     collection: list[AttributedGraph],
     state: MedianState,
     config: GedSolverConfig,
-    max_iters: int,
 ) -> tuple[MedianState, list[IterationRecord], bool]:
-    """Phase 2 from ``state``, up to step ``max_iters``; step ``it`` seeds its solves by ``(it, p)``.
+    """Phase 2 from ``state``, up to step ``_MAX_ITERS``; step ``it`` seeds its solves by ``(it, p)``.
 
     A step whose ``sod_upper`` exceeds the previous one is undone, left out
     of the trace, and ends the descent. Returns the final state, the trace
@@ -385,7 +380,7 @@ def _descend(
     trace = [IterationRecord(state.iteration, state.sod_upper, 0, 0.0)]
     log.info("iteration=%d sod_upper=%.12g changed=0", state.iteration, state.sod_upper)
     converged = False
-    for it in range(state.iteration + 1, max_iters + 1):
+    for it in range(state.iteration + 1, _MAX_ITERS + 1):
         tick = time.perf_counter()
         median = _updated_median(state, collection, model)
         maps, sod_upper, changed = update_transformations(
@@ -415,10 +410,10 @@ def compute_median(
     Phase 1 picks the set median with ``config.ged_phase1``. Phase 2
     alternates the closed-form median update with the keep-if-better
     transformation update using ``config.ged_phase2``, until a step changes
-    neither the median (compared exactly) nor any forward map, ``max_iters``
-    is hit, or a step would raise ``sod_upper`` (that step is undone). The
-    trace starts with the set median as iteration 0, and its ``sod_upper``
-    values never increase.
+    neither the median (compared exactly) nor any forward map, step
+    ``_MAX_ITERS`` (100) is done, or a step would raise ``sod_upper`` (that
+    step is undone). The trace starts with the set median as iteration 0,
+    and its ``sod_upper`` values never increase.
     """
     if not collection:
         raise ValueError("collection must be non-empty")
@@ -429,6 +424,6 @@ def compute_median(
     t1 = time.perf_counter()
     # a copy of the set median, so its maps' costs and their row sum are already known
     start = MedianState(replace(collection[sm.index], graph_id="median"), sm.transformations, sm.sod, 0)
-    state, trace, converged = _descend(model, collection, start, config.ged_phase2, config.max_iters)
+    state, trace, converged = _descend(model, collection, start, config.ged_phase2)
     t2 = time.perf_counter()
     return MedianResult(state.median, state.transformations, trace, sm.index, converged, t1 - t0, t2 - t1)

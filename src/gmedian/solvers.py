@@ -1,11 +1,11 @@
 """Edit-distance solvers between two attributed graphs.
 
-:func:`ged_exact` enumerates every transformation, exact but exponential:
-stacks of maps are scored in :func:`costs.forward_cost`'s own arithmetic, so
-under every model the lexicographically smallest of the maps that cost
-least wins.
-Every other method runs one pipeline per pair of graphs, and every method
-checks a pair as its step 1 does:
+Every method enters through :func:`solve_ged`, one pipeline per pair of
+graphs. ``exact`` takes step 1 and then enumerates every transformation,
+exact but exponential (:func:`_enumerated`): stacks of maps are scored in
+:func:`costs.forward_cost`'s own arithmetic, so under every model the
+lexicographically smallest of the maps that cost least wins. Every other
+method takes steps 1 to 5:
 
 1. check the model against both graphs, that removing one graph and
    inserting the other whole has a finite cost, and that every vertex
@@ -142,41 +142,14 @@ def _within_margin(value: float, bound: float, c0: float) -> bool:
 
 
 def ged_exact(model: CostModel, g: AttributedGraph, g2: AttributedGraph) -> GedResult:
-    """Exact edit distance by full enumeration of transformations.
+    """Exact edit distance by full enumeration of transformations: :func:`solve_ged` with ``exact``.
 
     Enumeration is exponential; graphs larger than ``_EXACT_ORDER_CAP`` are
-    rejected. For each number k of substitutions and each k-subset of
-    source vertices, the images run through every k-permutation of target
-    vertices in lexicographic order, scored in stacks of at most
-    ``_EXACT_STACK`` maps by :func:`costs._stack_costs`, which prices the
-    stack's edit counts by ``costs._price`` as :func:`costs.forward_cost`
-    prices one map's. So under every model the result is the least
-    ``(forward_cost, forward map)`` pair: among cost ties the
-    lexicographically smallest forward map wins. The pair is checked as
-    every method checks it, by building its :class:`_QapForm`.
+    rejected. Under every model the result is the least ``(forward_cost,
+    forward map)`` pair: among cost ties the lexicographically smallest
+    forward map wins.
     """
-    if max(g.order, g2.order) > _EXACT_ORDER_CAP:
-        raise SolverError(
-            f"orders ({g.order}, {g2.order}) exceed the exact enumeration cap {_EXACT_ORDER_CAP}"
-        )
-    _QapForm(model, g, g2)  # the pair check of every method; the form itself is not used
-    n, n2 = g.order, g2.order
-    best: tuple[float, tuple[int, ...]] = (np.inf, ())
-    for k in range(min(n, n2) + 1):
-        for subset in itertools.combinations(range(n), k):
-            sources = np.array(subset, dtype=np.int64)
-            images = itertools.permutations(range(n2), k)
-            while batch := list(itertools.islice(images, _EXACT_STACK)):
-                stack = np.array(batch, dtype=np.int64).reshape(len(batch), k)
-                costs = _stack_costs(model, sources, stack, g, g2)
-                # the stack is in lexicographic order, so argmin takes the smallest tied map
-                i = int(np.argmin(costs))
-                forward = np.full(n, n2, dtype=np.int64)
-                forward[sources] = stack[i]
-                best = min(best, (float(costs[i]), tuple(forward.tolist())))
-    # the removal of every vertex, among the first maps scored, has a finite cost, so best holds a map
-    f = np.asarray(best[1], dtype=np.int64)
-    return GedResult(transformation_from_forward(f, n, n2), best[0], True)
+    return solve_ged(model, g, g2, GedSolverConfig(method="exact"))
 
 
 def _edge_labels(g: AttributedGraph) -> set[int]:
@@ -215,7 +188,7 @@ def ged_bipartite(model: CostModel, g: AttributedGraph, g2: AttributedGraph) -> 
     yields a vertex map, and the reported cost is the true cost of the
     induced transformation (not the assignment objective).
     """
-    return _solve(model, g, g2, GedSolverConfig(method="bipartite"))
+    return solve_ged(model, g, g2, GedSolverConfig(method="bipartite"))
 
 
 class _QapForm:
@@ -404,32 +377,63 @@ def _bipartite_forward(form: _QapForm) -> np.ndarray:
     return np.minimum(lsap._assignment(cost)[: form.n], form.n2)
 
 
-def _solve(model: CostModel, g: AttributedGraph, g2: AttributedGraph, config: GedSolverConfig) -> GedResult:
-    """The pipeline of the module docstring, for every method but ``exact``."""
-    n, n2 = g.order, g2.order
-    form = _QapForm(model, g, g2)
-    starts = [_bipartite_forward(form)]
-    if config.method in ("mbipartite", "mipfp"):
-        # drawn one at a time as they are refined, so memory does not grow with the count
-        rng = np.random.default_rng(config.rng_seed)
-        randoms = (_random_maximal_forward(rng, n, n2) for _ in range(config.multistart_count))
-        starts = itertools.chain(starts, randoms)
-    refine, explored = config.method in ("ipfp", "mipfp"), set()
-    visited = (_ipfp_refine(form, f, explored) if refine else [(f, None)] for f in starts)
-    cost, forward = form.cheapest(itertools.chain.from_iterable(visited))
-    return GedResult(transformation_from_forward(forward, n, n2), cost, min(n, n2) == 0)
+def _enumerated(form: _QapForm) -> tuple[float, tuple[int, ...]]:
+    """(cost, forward tuple) of the cheapest map of all, ties to the smaller map.
+
+    For each number k of substitutions and each k-subset of source
+    vertices, the images run through every k-permutation of target
+    vertices in lexicographic order, scored in stacks of at most
+    ``_EXACT_STACK`` maps by :func:`costs._stack_costs`, which prices the
+    stack's edit counts by ``costs._price`` as :func:`costs.forward_cost`
+    prices one map's.
+    """
+    model, g, g2, n, n2 = form.model, form.g, form.g2, form.n, form.n2
+    best: tuple[float, tuple[int, ...]] = (np.inf, ())
+    for k in range(min(n, n2) + 1):
+        for subset in itertools.combinations(range(n), k):
+            sources = np.array(subset, dtype=np.int64)
+            images = itertools.permutations(range(n2), k)
+            while batch := list(itertools.islice(images, _EXACT_STACK)):
+                stack = np.array(batch, dtype=np.int64).reshape(len(batch), k)
+                costs = _stack_costs(model, sources, stack, g, g2)
+                # the stack is in lexicographic order, so argmin takes the smallest tied map
+                i = int(np.argmin(costs))
+                forward = np.full(n, n2, dtype=np.int64)
+                forward[sources] = stack[i]
+                best = min(best, (float(costs[i]), tuple(forward.tolist())))
+    # the removal of every vertex, among the first maps scored, has a finite cost, so best holds a map
+    return best
 
 
 def solve_ged(
     model: CostModel, g: AttributedGraph, g2: AttributedGraph, config: GedSolverConfig
 ) -> GedResult:
-    """Dispatch on ``config.method``.
+    """The edit distance of ``config.method``, by the steps of the module docstring.
 
-    ``ipfp`` initializes from the bipartite solution; the multistart methods
-    add ``multistart_count`` random starts on top of it. Candidates are
-    ranked by true cost, ties by lexicographic forward map, so the outcome
-    is deterministic for a given seed.
+    ``exact`` enumerates every map (:func:`_enumerated`) and refuses orders
+    above ``_EXACT_ORDER_CAP`` before it checks the pair. ``ipfp``
+    initializes from the bipartite solution; the multistart methods add
+    ``multistart_count`` random starts on top of it. Candidates are ranked
+    by true cost, ties by lexicographic forward map, so the outcome is
+    deterministic for a given seed.
     """
-    if config.method == "exact":
-        return ged_exact(model, g, g2)
-    return _solve(model, g, g2, config)
+    exact = config.method == "exact"
+    if exact and max(g.order, g2.order) > _EXACT_ORDER_CAP:
+        raise SolverError(
+            f"orders ({g.order}, {g2.order}) exceed the exact enumeration cap {_EXACT_ORDER_CAP}"
+        )
+    n, n2 = g.order, g2.order
+    form = _QapForm(model, g, g2)
+    if exact:
+        cost, forward = _enumerated(form)
+    else:
+        starts = [_bipartite_forward(form)]
+        if config.method in ("mbipartite", "mipfp"):
+            # drawn one at a time as they are refined, so memory does not grow with the count
+            rng = np.random.default_rng(config.rng_seed)
+            randoms = (_random_maximal_forward(rng, n, n2) for _ in range(config.multistart_count))
+            starts = itertools.chain(starts, randoms)
+        refine, explored = config.method in ("ipfp", "mipfp"), set()
+        visited = (_ipfp_refine(form, f, explored) if refine else [(f, None)] for f in starts)
+        cost, forward = form.cheapest(itertools.chain.from_iterable(visited))
+    return GedResult(transformation_from_forward(forward, n, n2), cost, exact or min(n, n2) == 0)

@@ -152,13 +152,17 @@ def test_overflowing_total_cost_is_usage_error(method, tmp_path, capsys):
 
 
 def test_ipfp_tol_from_config_is_validated(graph_files, tmp_path, capsys):
-    # the IPFP stop, the IPFP step cap and the exact order cap are constants of the solver, not settings
+    # the IPFP stop, the IPFP step cap, the exact order cap and the descent step cap are constants, not settings
     a, b = graph_files
     cfg = tmp_path / "cfg.json"
-    for key, value in (("ipfp_tol", 1e-4), ("ipfp_max_iters", 50), ("exact_cap", 8)):
-        cfg.write_text(json.dumps({"ged": {key: value}}))
+    for section, key, value in (
+        ("ged", "ipfp_tol", 1e-4), ("ged", "ipfp_max_iters", 50), ("ged", "exact_cap", 8), ("run", "max_iters", 100)
+    ):
+        cfg.write_text(json.dumps({section: {key: value}}))
         assert main(["ged", a, b, "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err == f"error: unknown config key ged.{key}\n"
+        assert capsys.readouterr().err == f"error: unknown config key {section}.{key}\n"
+    assert main(["ged", a, b, "--max-iters", "5"]) == 1
+    assert capsys.readouterr().err.startswith("error: unrecognized arguments: --max-iters")
 
 
 @pytest.mark.parametrize("method", ["exact", "bipartite", "ipfp", "mbipartite", "mipfp"])
@@ -372,7 +376,7 @@ def test_gxl_input_for_ged(tmp_path, capsys):
         ("classify", "run", "sample", None),
         ("ged", "cost", "c_vr", "x"),
         ("ged", "ged", "multistart", 2.7),
-        ("ged", "run", "max_iters", 1.9),
+        ("median", "run", "repeats", 1.9),
         ("median", "data", "node_attrs", "x"),
         ("median", "data", "node_attrs", ["x", 1]),
     ],
@@ -509,7 +513,7 @@ DEFAULT_CONFIG = {
     "cost": {"c_ei": 3.0, "c_er": 3.0, "c_es": 1.0, "c_vi": 3.0, "c_vr": 3.0, "c_vs": 1.0},
     "data": {"edge_attr": None, "edge_kind": None, "node_attrs": None, "node_kind": None},
     "ged": {"method": "mipfp", "multistart": 40, "phase1": "mbipartite", "phase2": "mipfp", "seed": 0},
-    "run": {"max_iters": 100, "out": None, "repeats": 1, "sample": 10.0, "threads": 1},
+    "run": {"out": None, "repeats": 1, "sample": 10.0, "threads": 1},
 }
 COMMANDS = ["ged", "set-median", "median", "sod-table", "classify"]
 
@@ -538,7 +542,6 @@ SETTING_FLAGS = [
     ("--sample", "0.25", "run", "sample", 0.25),
     ("--repeats", "3", "run", "repeats", 3),
     ("--out", "o.csv", "run", "out", "o.csv"),
-    ("--max-iters", "5", "run", "max_iters", 5),
     ("--node-kind", "vector", "data", "node_kind", "vector"),
     ("--node-attrs", "x,y", "data", "node_attrs", ["x", "y"]),
     ("--edge-kind", "none", "data", "edge_kind", "none"),
@@ -581,4 +584,3 @@ def test_cli_defaults_are_the_library_defaults():
     assert DEFAULTS["run"]["sample"] == experiment.per_class_sample
     assert type(DEFAULTS["run"]["sample"]) is type(experiment.per_class_sample) is float
     assert DEFAULTS["run"]["repeats"] == experiment.repeats
-    assert DEFAULTS["run"]["max_iters"] == descent.max_iters

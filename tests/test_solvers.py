@@ -403,7 +403,7 @@ g2 = build_graph(3, [1, 2, 2], [(1, 2, 1), (0, 2, 4)])
 g3 = build_graph(3, [1, 3, 2], [(0, 1, 1), (1, 2, 3)])
 for method in ("ipfp", "mipfp"):
     solve_ged(model, g, g2, GedSolverConfig(method=method, multistart_count=3))
-config = DescentConfig(GedSolverConfig("mbipartite", 2), GedSolverConfig("mipfp", 2), max_iters=3)
+config = DescentConfig(GedSolverConfig("mbipartite", 2), GedSolverConfig("mipfp", 2))
 compute_median(model, [g, g2, g3], config)
 loaded = sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"])
 assert not loaded, loaded
